@@ -48,6 +48,10 @@
 // nests while a C toolchain is available (no toolchain skips the floor
 // with a note).
 //
+// A cold-build section times one CollapsePlan::build of a 9-deep
+// simplex (JSON "cold_build"); bench/trajectory.py fails a run whose
+// figure exceeds 100 ms.
+//
 // The measured rows double as cost-model calibration:
 // --cost-table=PATH (or NRC_COST_TABLE_OUT) persists them as an
 // nrc-cost-table v1 file that Schedule::auto_select loads through
@@ -339,6 +343,37 @@ int main(int argc, char** argv) {
     evals.push_back(cn);
   }
 
+  // ------------------------------------------------------- cold build
+  // A cold CollapsePlan::build (ranking, level formulas, branch
+  // calibration, bind) of a 9-deep simplex: five exact-search levels
+  // above a quartic, a cubic, a quadratic and the innermost linear one.
+  // Scoring every root branch at every calibration point took this
+  // about 1.8 s; with the bounded calibration sample it is tens of ms,
+  // and bench/trajectory.py holds it to <= 100 ms.
+  struct ColdRow {
+    std::string name;
+    int depth = 0;
+    i64 trip = 0;
+    double ms = 0;
+  };
+  std::vector<ColdRow> cold_rows;
+  {
+    constexpr int kDepth = 9;
+    NestSpec n;
+    n.param("N");
+    for (int k = 0; k < kDepth; ++k) {
+      const std::string v = "i" + std::to_string(k);
+      n.loop(v, k == 0 ? aff::c(0) : aff::v("i" + std::to_string(k - 1)), aff::v("N"));
+    }
+    const ParamMap params{{"N", 12}};
+    ColdRow cr{"simplex9", kDepth, 0, 0};
+    cr.ms = time_ns_per(1, trials, [&] {
+              const auto plan = CollapsePlan::build(n, params);
+              cr.trip = plan->eval().trip_count();
+            }) / 1e6;
+    cold_rows.push_back(cr);
+  }
+
   // ----------------------------------------------- cost-model calibration
   // The measured engine/block/lane columns ARE the cost table: one
   // entry per (solver profile, depth) class, stamped with this run's
@@ -503,6 +538,12 @@ int main(int argc, char** argv) {
       "jit-spdup = engine / jit, enforced >= 1.5x on the cubic/quartic nests when\n"
       "a C toolchain is available.\n");
 
+  std::printf("\n== cold build: CollapsePlan::build (collapse + bind), best of %d ==\n\n",
+              trials);
+  for (const ColdRow& cr : cold_rows)
+    std::printf("%-13s depth %d, trip %lld: %.2f ms (ceiling 100 ms, bench/trajectory.py)\n",
+                cr.name.c_str(), cr.depth, static_cast<long long>(cr.trip), cr.ms);
+
   std::printf(
       "\n== selection accuracy: auto_select vs measured-best candidate "
       "(threads=%d) ==\n\n",
@@ -578,6 +619,14 @@ int main(int argc, char** argv) {
                    sels[i].best_ns, sels[i].ratio,
                    i + 1 < rows.size() ? "," : "");
     }
+    std::fprintf(f, "  ],\n  \"cold_build\": [\n");
+    for (size_t i = 0; i < cold_rows.size(); ++i)
+      std::fprintf(f,
+                   "    {\"name\": \"%s\", \"depth\": %d, \"trip_count\": %lld, "
+                   "\"cold_ms\": %.3f}%s\n",
+                   cold_rows[i].name.c_str(), cold_rows[i].depth,
+                   static_cast<long long>(cold_rows[i].trip), cold_rows[i].ms,
+                   i + 1 < cold_rows.size() ? "," : "");
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());

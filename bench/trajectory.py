@@ -5,9 +5,11 @@ Appends the current BENCH_recovery.json (and, when present, the
 end-to-end kernel suite's BENCH_fig9.json) to the accumulated trajectory
 (downloaded from the previous run's BENCH_trajectory artifact in CI)
 and renders BENCH_trajectory.{json,md}; the markdown tables go to the
-GitHub step summary.  This script is the dashboard, not the gate — the
-enforced floors live in bench_recovery_ns itself — so it always exits 0
-on well-formed input.
+GitHub step summary.  The solver floors live in bench_recovery_ns
+itself; the one gate here is the cold-build ceiling: the exit status is
+1 when a "cold_build" row of the current BENCH_recovery.json (a cold
+CollapsePlan::build of a 9-deep simplex) exceeds COLD_BUILD_CEIL_MS.
+The outputs are written either way.
 
 Usage:
   trajectory.py --current BENCH_recovery.json \
@@ -37,6 +39,9 @@ SELECT_CEIL = 2.0       # enforced auto_select-vs-measured-best ratio ceiling
                         # (cost-model picks on gated nests only)
 JIT_FLOOR = 1.5         # enforced jit-kernel-vs-engine floor (specialized
                         # compiled kernel on gated nests, toolchain runs only)
+COLD_BUILD_CEIL_MS = 100.0  # enforced here: cold collapse+bind of the
+                            # depth-9 simplex (about 1.8 s before branch
+                            # calibration was bounded)
 
 
 def load_json(path, default):
@@ -110,6 +115,11 @@ def main():
                 "ratio_vs_best": sel.get("ratio_vs_best"),
                 "best": sel.get("best"),
             }
+
+    entry["cold_build"] = {
+        row["name"]: {"depth": row.get("depth"), "cold_ms": row.get("cold_ms")}
+        for row in current.get("cold_build", [])
+    }
 
     fig9 = load_json(args.current_fig9, None) if args.current_fig9 else None
     if fig9 and "kernels" in fig9:
@@ -256,6 +266,33 @@ def main():
             + "."
         )
 
+    # Cold-build rows: absolute ms per run against the enforced ceiling.
+    cold_names = []
+    for r in runs:
+        for name in r.get("cold_build", {}):
+            if name not in cold_names:
+                cold_names.append(name)
+    if cold_names:
+        lines += [
+            "",
+            "## Cold build trajectory",
+            "",
+            "ms per cold CollapsePlan::build (collapse + bind); ceiling "
+            f"{COLD_BUILD_CEIL_MS:.0f} ms, enforced by this script.",
+            "",
+            "| run | sha | " + " | ".join(f"{n} ms" for n in cold_names) + " |",
+            "|" + "---|" * (2 + len(cold_names)),
+        ]
+        for r in runs[-MD_ROWS:]:
+            if "cold_build" not in r:
+                continue
+            cells = [str(r.get("run", "?")), str(r.get("sha", "?"))]
+            for n in cold_names:
+                ms = r["cold_build"].get(n, {}).get("cold_ms")
+                cells.append("—" if ms is None else
+                             f"{ms:.1f}" + (" ✓" if ms <= COLD_BUILD_CEIL_MS else " ✗"))
+            lines.append("| " + " | ".join(cells) + " |")
+
     # Table 2: end-to-end kernel gains (fig9), when any run recorded them.
     kernel_names = []
     for r in runs:
@@ -341,7 +378,12 @@ def main():
         f.write("\n".join(lines) + "\n")
 
     print(f"trajectory: {len(runs)} runs -> {args.out_json}, {args.out_md}")
-    return 0
+    over = {n: d["cold_ms"] for n, d in entry["cold_build"].items()
+            if d.get("cold_ms") is None or d["cold_ms"] > COLD_BUILD_CEIL_MS}
+    for n, ms in over.items():
+        print(f"FAIL: cold build of {n} took {ms} ms, ceiling "
+              f"{COLD_BUILD_CEIL_MS:.0f} ms", file=sys.stderr)
+    return 1 if over else 0
 
 
 if __name__ == "__main__":

@@ -16,13 +16,6 @@ namespace nrc {
 
 namespace {
 
-/// Floor division of exact 128-bit values, narrowed to the index range.
-i64 floor_div_i128_to_i64(i128 a, i128 b) {
-  i128 q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return narrow_i64(q);
-}
-
 /// Static classification of the solver bind() will pick for a level.
 LevelSolverKind planned_solver(const LevelFormula& lf, int level, int depth) {
   if (level == depth - 1) return LevelSolverKind::InnermostLinear;
@@ -610,24 +603,11 @@ i64 CollapsedEval::solve_level(int k, std::span<i64> pt, i64 pc,
         return x;
       }
       case LevelSolverKind::Quadratic: {
-        if (f64) {
-          const double disc = Ad[1] * Ad[1] - 4.0 * Ad[2] * Ad[0];
-          if (disc < 0.0 || Ad[2] == 0.0) break;  // degenerate here: search
-          const double s = std::sqrt(disc);
-          const double num = sv.branch == 1 ? -Ad[1] - s : -Ad[1] + s;
-          const double root = num / (2.0 * Ad[2]);
-          if (!index_range_finite(root)) break;
-          return guard(static_cast<i64>(std::floor(root + 1e-9)));
-        }
-        const i128 disc = checked_sub(checked_mul(A[1], A[1]),
-                                      checked_mul(checked_mul(4, A[2]), A[0]));
-        if (disc < 0 || A[2] == 0) break;  // degenerate here: search
-        const long double s = std::sqrt(static_cast<long double>(disc));
-        const long double num = sv.branch == 1 ? -static_cast<long double>(A[1]) - s
-                                               : -static_cast<long double>(A[1]) + s;
-        const long double root = num / (2.0L * static_cast<long double>(A[2]));
-        if (!index_range_finite(root)) break;
-        return guard(static_cast<i64>(std::floor(root + 1e-9L)));
+        i64 est;
+        const bool ok = f64 ? quadratic_estimate<double>(Ad, sv.branch, &est)
+                            : quadratic_estimate<long double>(A, sv.branch, &est);
+        if (!ok) break;  // degenerate here: search
+        return guard(est);
       }
       case LevelSolverKind::Cubic: {
         i64 est;

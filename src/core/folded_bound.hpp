@@ -38,6 +38,15 @@ struct FoldedBound {
     return acc;
   }
 
+  /// eval() with overflow checks (throws OverflowError), for walks over
+  /// nest text that no bind-time range proof has vetted yet.
+  i64 eval_checked(const i64* idx) const {
+    i64 acc = cst;
+    for (int t = 0; t < nterms; ++t)
+      acc = checked_add_i64(acc, checked_mul_i64(coef[t], idx[slot[t]]));
+    return acc;
+  }
+
   /// Fold `a` over `params`; every non-parameter variable must be a loop
   /// variable of `spec` (its nest position becomes the slot).
   static FoldedBound fold(const AffineExpr& a, const NestSpec& spec, const ParamMap& params) {

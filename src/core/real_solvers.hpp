@@ -1,6 +1,8 @@
 #pragma once
 // Guarded real-arithmetic closed-form root estimates for the recovery
-// engine (degrees 3 and 4).
+// engine (degrees 2 to 4).  Branch calibration scores root branches
+// with these same estimates, so the branch it selects is the one the
+// engine follows.
 //
 // The level solvers in CollapsedEval only need floor(Re(x)) of the
 // *selected convenient branch* of a level equation — and they sit behind
@@ -33,6 +35,8 @@
 // lane-batched engines) and on the coefficient type TA (i128 or double).
 
 #include <cmath>
+#include <limits>
+#include <type_traits>
 
 #include "runtime/simd_abi.hpp"
 #include "support/int128.hpp"
@@ -98,6 +102,38 @@ inline bool index_range_finite(F root) {
   return std::isfinite(root) && root >= F(-9.2e18L) && root <= F(9.2e18L);
 }
 
+/// Quadratic-formula estimate for A2*t^2 + A1*t + A0 <= 0, branch 0
+/// taking +sqrt and branch 1 -sqrt of the discriminant (the numbering of
+/// the symbolic root).  On i128 coefficients the discriminant is exact
+/// (checked; throws OverflowError) and the root is taken in F; on
+/// exact-double coefficients it is plain double arithmetic.  Returns
+/// false when the formula degenerates here (A2 == 0, negative
+/// discriminant, or a root out of the index range).
+template <class F, class TA>
+bool quadratic_estimate(const TA* A, int branch, i64* est) {
+  TA disc;
+  if constexpr (std::is_same_v<TA, i128>)
+    disc = checked_sub(checked_mul(A[1], A[1]), checked_mul(checked_mul(4, A[2]), A[0]));
+  else
+    disc = A[1] * A[1] - TA(4) * A[2] * A[0];
+  if (disc < 0 || A[2] == 0) return false;
+  const F s = std::sqrt(static_cast<F>(disc));
+  const F num = branch == 1 ? -static_cast<F>(A[1]) - s : -static_cast<F>(A[1]) + s;
+  const F root = num / (F(2) * static_cast<F>(A[2]));
+  if (!index_range_finite(root)) return false;
+  *est = static_cast<i64>(std::floor(root + F(1e-9L)));
+  return true;
+}
+
+/// Value of Cardano branch `branch` of A3*t^3 + ... + A0 = 0 (A3 != 0)
+/// as an explicit (re, im) pair; see cardano_branch.
+template <class F, class TA>
+CardanoBranch<F> cubic_branch(const TA* A, int branch) {
+  const F a3 = static_cast<F>(A[3]);
+  return cardano_branch<F>(static_cast<F>(A[2]) / a3, static_cast<F>(A[1]) / a3,
+                           static_cast<F>(A[0]) / a3, branch);
+}
+
 /// Real-arithmetic Cardano/Viete estimate for A3*t^3 + ... + A0 <= 0,
 /// shared by the scalar solver (F = long double on i128 coefficients,
 /// the historical behaviour) and the lane-batched solver (F = double on
@@ -108,37 +144,37 @@ inline bool index_range_finite(F root) {
 template <class F, class TA>
 bool cubic_estimate(const TA* A, int branch, i64* est) {
   if (A[3] == 0) return false;
-  const F a3 = static_cast<F>(A[3]);
-  const CardanoBranch<F> cb =
-      cardano_branch<F>(static_cast<F>(A[2]) / a3, static_cast<F>(A[1]) / a3,
-                        static_cast<F>(A[0]) / a3, branch);
+  const CardanoBranch<F> cb = cubic_branch<F>(A, branch);
   if (!index_range_finite(cb.re)) return false;
   *est = static_cast<i64>(std::floor(cb.re + F(1e-9L)));
   return true;
 }
 
-/// Guarded real-arithmetic Ferrari estimate for A4*t^4 + ... + A0 <= 0,
-/// branch = 4*(resolvent Cardano branch) + quadratic-factor branch —
-/// the same branch family as math/roots.cpp::root_quartic and the
-/// symbolic quartic_root, so the estimate tracks the branch the
-/// calibration selected.  The resolvent root w (complex for the
-/// conjugate-pair Cardano branches) flows through the chain as an
-/// explicit (re, im) pair:
+/// Value of Ferrari branch `branch` of A4*t^4 + ... + A0 = 0 as an
+/// explicit (re, im) pair, branch = 4*(resolvent Cardano branch) +
+/// quadratic-factor branch — the same branch family as
+/// math/roots.cpp::root_quartic and the symbolic quartic_root.  The
+/// resolvent root w (complex for the conjugate-pair Cardano branches)
+/// flows through the chain as an explicit (re, im) pair:
 ///
 ///   alpha = csqrt(w):   ar = sqrt((|w| + wr)/2),
 ///                       ai = sign(wi) * sqrt((|w| - wr)/2),
 ///   q/alpha           = q * conj(alpha) / |w|,
 ///   beta, gamma       = (p + w -+ q/alpha)/2,
 ///   D = alpha^2 - 4*{beta,gamma} = w - 4*{beta,gamma},
-///   Re(y)             = (-+ar +- sqrt((|D| + Dr)/2)) / 2,
+///   y                 = (-+alpha +- csqrt(D)) / 2,
 ///
-/// and the recovered estimate is floor(Re(y) - b/4 + eps).  Returns
-/// false when the formula degenerates (A4 == 0, w == 0 divisions,
-/// non-finite, out of the index range); the caller then demotes the
-/// point to the bytecode program.
-template <class F, class TA>
-bool ferrari_estimate(const TA* A, int branch, i64* est) {
-  if (A[4] == 0) return false;
+/// and the root is y - b/4.  Im is computed only when kWithIm is set
+/// (branch calibration tells conjugate branches apart by it; the
+/// recovery engine needs Re alone).  Degenerations (A4 == 0, w == 0
+/// divisions) surface as non-finite values.
+template <class F, class TA, bool kWithIm = false>
+CardanoBranch<F> ferrari_branch(const TA* A, int branch) {
+  CardanoBranch<F> out;
+  if (A[4] == 0) {
+    out.re = out.im = std::numeric_limits<F>::quiet_NaN();
+    return out;
+  }
   const F a4 = static_cast<F>(A[4]);
   const F b = static_cast<F>(A[3]) / a4;
   const F c = static_cast<F>(A[2]) / a4;
@@ -162,7 +198,7 @@ bool ferrari_estimate(const TA* A, int branch, i64* est) {
   const F ar = std::sqrt((aw + w.re) / F(2));
   const F ai = std::copysign(std::sqrt((aw - w.re) / F(2)), w.im);
   // q / alpha = q * conj(alpha) / |alpha|^2, |alpha|^2 = |w|.
-  const F qar = q * ar / aw;  // w == 0 degenerates to NaN: caught below
+  const F qar = q * ar / aw;  // w == 0 degenerates to NaN
   const F qai = -q * ai / aw;
   // D = alpha^2 - 4*{beta,gamma} = w - 2*(p + w +- q/alpha).
   const F sg = qb < 2 ? F(-1) : F(1);
@@ -170,8 +206,22 @@ bool ferrari_estimate(const TA* A, int branch, i64* est) {
   const F Di = -w.im - F(2) * sg * qai;
   const F sr = std::sqrt((std::hypot(Dr, Di) + Dr) / F(2));  // Re(csqrt(D))
   const F y = ((qb < 2 ? -ar : ar) + ((qb & 1) ? -sr : sr)) / F(2);
+  out.re = y - b / F(4);
+  if constexpr (kWithIm) {
+    const F si = std::copysign(std::sqrt((std::hypot(Dr, Di) - Dr) / F(2)), Di);  // Im(csqrt(D))
+    out.im = ((qb < 2 ? -ai : ai) + ((qb & 1) ? -si : si)) / F(2);
+  }
+  return out;
+}
 
-  const F root = y - b / F(4);
+/// Guarded real-arithmetic Ferrari estimate for A4*t^4 + ... + A0 <= 0:
+/// floor(Re(root) + eps) of ferrari_branch, so the estimate tracks the
+/// branch the calibration selected.  Returns false when the formula
+/// degenerates (A4 == 0, w == 0 divisions, non-finite, out of the index
+/// range); the caller then demotes the point to the bytecode program.
+template <class F, class TA>
+bool ferrari_estimate(const TA* A, int branch, i64* est) {
+  const F root = ferrari_branch<F, TA>(A, branch).re;
   if (!index_range_finite(root)) return false;
   *est = static_cast<i64>(std::floor(root + F(1e-9L)));
   return true;

@@ -71,6 +71,14 @@ inline i64 floor_div(i64 a, i64 b) {
   return q;
 }
 
+/// Floor division of exact 128-bit values, narrowed to the index range
+/// (throws OverflowError outside it).
+inline i64 floor_div_i128_to_i64(i128 a, i128 b) {
+  i128 q = a / b;
+  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
+  return narrow_i64(q);
+}
+
 /// Checked int64 helpers used by hot-path affine-bound evaluation.
 inline i64 checked_add_i64(i64 a, i64 b) {
   i64 r;

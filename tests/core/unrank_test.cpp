@@ -122,5 +122,32 @@ TEST(DefaultCalibration, ProducesUsableDomains) {
   }
 }
 
+TEST(DefaultCalibration, RefusesAnOversizedNestWithABoundedWalk) {
+  // Five loops of 0 .. 3N, the fourth starting at i: every candidate
+  // value holds more than 4000 points (about 4.5e3 at N = 2, 2.6e11 at
+  // N = 64), so no calibration exists.  Each candidate's walk must stop
+  // at its 4001st point instead of enumerating the domain; the ctest
+  // timeout is the bound.
+  NestSpec n;
+  n.param("N")
+      .loop("i", aff::c(0), 3 * aff::v("N"))
+      .loop("j", aff::c(0), 3 * aff::v("N"))
+      .loop("k", aff::c(0), 3 * aff::v("N"))
+      .loop("l", aff::v("i"), 3 * aff::v("N"))
+      .loop("m", aff::c(0), 3 * aff::v("N"));
+  EXPECT_THROW(default_calibration(n), SolveError);
+  EXPECT_THROW(collapse(n), SolveError);
+}
+
+TEST(DefaultCalibration, SkipsCandidatesWithEmptyRanges) {
+  // j = i .. 5 is empty for i >= 5 once N > 5: only N <= 5 conforms to
+  // the model, and 5 is the first such candidate in the search order.
+  NestSpec n;
+  n.param("N").loop("i", aff::c(0), aff::v("N")).loop("j", aff::v("i"), aff::c(5));
+  const ParamMap cal = default_calibration(n);
+  EXPECT_EQ(cal.at("N"), 5);
+  EXPECT_TRUE(has_no_empty_ranges(n, cal));
+}
+
 }  // namespace
 }  // namespace nrc
