@@ -9,7 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/collapse.hpp"
-#include "core/unrank_newton.hpp"
+#include "core/validate.hpp"
 #include "polyhedral/nest.hpp"
 
 using namespace nrc;
@@ -74,13 +74,15 @@ void BM_RecoverClosedGuarded(benchmark::State& state) {
 }
 
 void BM_RecoverClosedRaw(benchmark::State& state) {
-  const CollapsedEval cn = make_eval(static_cast<int>(state.range(0)));
+  const int shape = static_cast<int>(state.range(0));
+  const Collapsed col = collapse(shape_nest(shape));
+  const CollapsedEval cn = col.bind({{"N", shape_size(shape)}});
+  RawClosedForm raw(col, {{"N", shape_size(shape)}});
   const i64 total = cn.trip_count();
   i64 idx[kMaxDepth];
   i64 pc = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cn.recover_closed_raw(pc, {idx, static_cast<size_t>(cn.depth())}));
+    benchmark::DoNotOptimize(raw.recover(cn, pc, {idx, static_cast<size_t>(cn.depth())}));
     pc = pc % total + 997;
     if (pc > total) pc -= total;
   }
@@ -113,23 +115,6 @@ void BM_Increment(benchmark::State& state) {
   state.SetLabel(shape_label(static_cast<int>(state.range(0))));
 }
 
-void BM_RecoverNewton(benchmark::State& state) {
-  const int shape = static_cast<int>(state.range(0));
-  const RankingSystem rs = build_ranking_system(shape_nest(shape));
-  const NewtonUnranker nu(rs, {{"N", shape_size(shape)}});
-  const CollapsedEval cn = make_eval(shape);  // for trip_count only
-  const i64 total = cn.trip_count();
-  i64 idx[kMaxDepth];
-  i64 pc = 1;
-  for (auto _ : state) {
-    nu.recover(pc, {idx, static_cast<size_t>(nu.depth())});
-    benchmark::DoNotOptimize(idx[0]);
-    pc = pc % total + 997;
-    if (pc > total) pc -= total;
-  }
-  state.SetLabel(shape_label(shape));
-}
-
 void BM_Rank(benchmark::State& state) {
   const CollapsedEval cn = make_eval(static_cast<int>(state.range(0)));
   i64 idx[kMaxDepth];
@@ -147,7 +132,6 @@ void BM_Rank(benchmark::State& state) {
 BENCHMARK(BM_RecoverClosedGuarded)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_RecoverClosedRaw)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_RecoverSearch)->Arg(0)->Arg(1)->Arg(2);
-BENCHMARK(BM_RecoverNewton)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_Increment)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_Rank)->Arg(0)->Arg(1)->Arg(2);
 

@@ -3,10 +3,8 @@
 // Measures the cost the §V schemes amortize per chunk: one full
 // closed-form recovery, across
 //
-//   interpreter — the seed CompiledExpr engine (complex arithmetic,
-//                 heap-allocated value vector): recover_interpreted()
-//   engine      — the compiled engine (degree-specialized solvers +
-//                 RecoveryProgram bytecode): recover()
+//   engine      — the compiled engine (degree-specialized guarded
+//                 solvers, exact search where none applies): recover()
 //   block64     — recover_block() amortized over 64 consecutive pcs
 //                 (the scalar batched path: one solve + row-major fill)
 //   simd64      — recover_blocks4(): 4 blocks of 64, the 4 chunk-start
@@ -18,26 +16,24 @@
 //                 over the 512 recovered iterations
 //   batch4      — recover4() on 4 consecutive pcs (the warp-shaped
 //                 primitive: one independent formula solve per lane)
-//   search      — exact binary search: recover_search()
-//   newton      — safeguarded Newton: NewtonUnranker::recover()
+//   search      — exact binary search: recover_search(), the fallback
+//                 every solver drops to where its estimate fails
 //
 // Random pcs (fixed-seed LCG) spread probes across the domain so branch
 // history and guard behaviour match production chunk starts.  Results go
 // to stdout and BENCH_recovery.json (ns per recovered iteration, per
 // scheme; --out=PATH overrides the location) so successive PRs have a
 // perf trajectory.  Exit status is non-zero when the compiled engine
-// falls below the enforced 2.5x floor against the interpreter on a
-// gated nest (the target stays >= 3x; the floor leaves headroom for
-// shared-runner noise), when a vector build's (runtime abi avx2 or
+// falls below the enforced 2.5x floor against exact search on a gated
+// or quartic nest (a ratio rather than an absolute ns ceiling, so the
+// floor holds on shared hosts whose absolute timings vary run to run),
+// when a vector build's (runtime abi avx2 or
 // avx512) simd64 path falls below 1.2x over block64 on the cubic and
 // quartic nests (the floor was 2x against PR 2's scalar block path;
 // PR 3 made that scalar baseline itself 2-3x faster), when an AVX-512
 // run's simd512 path falls below 2x over block64 on the same gated
 // nests (8 lanes per solve + masked fills must clear what 4 lanes
-// couldn't), or when
-// the guarded real-arithmetic Ferrari falls below 2.5x over the PR 2
-// quartic path (bytecode program + checked-i128 scalar guards) on the
-// quartic nests' block64 workload, or when a plan-cache hit is not at
+// couldn't), or when a plan-cache hit is not at
 // least 10x cheaper than a cold collapse+bind (the pipeline's
 // analyze-once contract: repeated domains must skip symbolic build and
 // bind entirely), or when the measured cost model picks a schedule more
@@ -77,9 +73,9 @@ struct BenchNest {
   std::string name;
   NestSpec nest;
   ParamMap params;
-  bool gate = false;          ///< participates in the engine-vs-interpreter floor
+  bool gate = false;          ///< participates in the engine-vs-search floor
   bool gate_simd = false;     ///< participates in the simd64-vs-block64 2x check
-  bool gate_quartic = false;  ///< participates in the ferrari-vs-bytecode 2.5x check
+  bool gate_quartic = false;  ///< quartic nest: engine-vs-search and jit floors
 };
 
 std::vector<BenchNest> bench_nests() {
@@ -163,13 +159,9 @@ int main(int argc, char** argv) {
     std::string name;
     i64 trip = 0;
     int depth = 0;
-    double interp = 0, engine = 0, block = 0, simd = 0, simd8 = 0, batch4 = 0,
-           search = 0, newton = 0;
+    double engine = 0, block = 0, simd = 0, simd8 = 0, batch4 = 0, search = 0;
     double bind_cold = 0;    ///< ns per cold CollapsePlan::build (collapse+bind)
     double bind_cached = 0;  ///< ns per plan_cache().get hit on the same key
-    double qblock = 0;  ///< block64 through the PR 2 quartic path (bytecode
-                        ///< program + checked-i128 scalar guards); 0 when the
-                        ///< nest has no quartic level
     double jit = 0;             ///< ns/iter through the compiled specialized
                                 ///< kernel (single thread; 0 when not compiled)
     double jit_compile_ms = 0;  ///< one cold out-of-process specialize+compile
@@ -182,8 +174,6 @@ int main(int argc, char** argv) {
   for (const BenchNest& bn : bench_nests()) {
     const Collapsed col = collapse(bn.nest);
     const CollapsedEval cn = col.bind(bn.params);
-    const RankingSystem rs = build_ranking_system(bn.nest);
-    const NewtonUnranker nu(rs, bn.params);
 
     const size_t d = static_cast<size_t>(cn.depth());
     const size_t nprobes = 20000;
@@ -199,12 +189,6 @@ int main(int argc, char** argv) {
 
     i64 idx[kMaxDepth];
     i64 sink = 0;
-    row.interp = time_ns_per(static_cast<i64>(nprobes), trials, [&] {
-      for (const i64 pc : pcs) {
-        cn.recover_interpreted(pc, {idx, d});
-        sink += idx[0];
-      }
-    });
     row.engine = time_ns_per(static_cast<i64>(nprobes), trials, [&] {
       for (const i64 pc : pcs) {
         cn.recover(pc, {idx, d});
@@ -264,25 +248,6 @@ int main(int argc, char** argv) {
         sink += batch_buf[0];
       }
     });
-    // The PR 2 quartic path (RecoveryProgram bytecode + checked-i128
-    // scalar guards) on the same block64 workload: the enforced
-    // ferrari-vs-bytecode floor divides these two block64 timings.
-    bool has_quartic = false;
-    for (int k = 0; k < cn.depth(); ++k)
-      if (cn.solver_kind(k) == LevelSolverKind::Quartic) has_quartic = true;
-    if (has_quartic) {
-      CollapsedEval pr2 = cn;
-      pr2.use_bytecode_quartics();
-      pr2.set_f64_guards(false);
-      row.qblock = time_ns_per(static_cast<i64>(nprobes) * kBlock, trials, [&] {
-        for (const i64 pc : pcs) {
-          const i64 lo =
-              std::min<i64>(pc, std::max<i64>(1, pr2.trip_count() - kBlock + 1));
-          const i64 got = pr2.recover_block(lo, kBlock, {block_buf, kBlock * d});
-          sink += block_buf[static_cast<size_t>(got - 1) * d];
-        }
-      });
-    }
     // Plan-cache economics: a cold build pays collapse() + bind(); a hit
     // pays one sharded lookup.  The enforced >= 10x floor below is the
     // pipeline's analyze-once contract.
@@ -304,12 +269,6 @@ int main(int argc, char** argv) {
     row.search = time_ns_per(static_cast<i64>(nprobes), trials, [&] {
       for (const i64 pc : pcs) {
         cn.recover_search(pc, {idx, d});
-        sink += idx[0];
-      }
-    });
-    row.newton = time_ns_per(static_cast<i64>(nprobes), trials, [&] {
-      for (const i64 pc : pcs) {
-        nu.recover(pc, {idx, d});
         sink += idx[0];
       }
     });
@@ -464,36 +423,32 @@ int main(int argc, char** argv) {
       "== recovery_ns: ns per recovered iteration (best of %d trials, "
       "simd_abi=%s, compiled=%s, %d-lane groups) ==\n\n",
       trials, run_abi.c_str(), simd::abi_name(), simd::kGroupLanes);
-  std::printf("%-13s %5s %11s | %11s %11s %11s %11s %11s %11s %11s %11s %11s %8s %8s | %10s %10s | %8s %8s %8s %8s %8s %8s\n",
-              "nest", "depth", "trip", "interp[ns]", "engine[ns]", "block64", "simd64",
-              "simd512", "batch4[ns]", "search[ns]", "newton[ns]", "qblock64",
-              "jit[ns]", "jitc[ms]",
-              "bind-cold", "bind-hit", "eng-spdup", "simd-spdup", "s512spdup",
-              "q-spdup", "jit-spdup", "bindspdup");
-  bench::rule(230);
+  std::printf("%-13s %5s %11s | %11s %11s %11s %11s %11s %11s %8s %8s | %10s %10s | %8s %8s %8s %8s %8s\n",
+              "nest", "depth", "trip", "engine[ns]", "block64", "simd64", "simd512",
+              "batch4[ns]", "search[ns]", "jit[ns]", "jitc[ms]", "bind-cold", "bind-hit",
+              "eng-spdup", "simd-spdup", "s512spdup", "jit-spdup", "bindspdup");
+  bench::rule(200);
   const bool jit_toolchain = jit::toolchain_available();
   bool gate_ok = true;
   bool simd_ok = true;
   bool simd512_ok = true;
-  bool quartic_ok = true;
   bool bind_ok = true;
   bool jit_ok = true;
   for (const Row& r : rows) {
-    const double speedup = r.interp / r.engine;
+    const double speedup = r.search / r.engine;
     const double simd_speedup = r.block / r.simd;
     const double simd8_speedup = r.block / r.simd8;
-    const double q_speedup = r.qblock > 0 ? r.qblock / r.block : 0.0;
     const double jit_speedup = r.jit > 0 ? r.engine / r.jit : 0.0;
     const double bind_speedup = r.bind_cached > 0 ? r.bind_cold / r.bind_cached : 0.0;
     std::printf(
-        "%-13s %5d %11lld | %11.1f %11.1f %11.2f %11.2f %11.2f %11.1f %11.1f %11.1f %11.2f %8.2f %8.1f | "
-        "%10.0f %10.0f | %7.2fx %7.2fx %7.2fx %7.2fx %7.1fx %7.1fx\n",
-        r.name.c_str(), r.depth, static_cast<long long>(r.trip), r.interp, r.engine,
-        r.block, r.simd, r.simd8, r.batch4, r.search, r.newton, r.qblock, r.jit,
-        r.jit_compile_ms, r.bind_cold,
-        r.bind_cached, speedup, simd_speedup, simd8_speedup, q_speedup, jit_speedup,
-        bind_speedup);
-    if (r.gate && speedup < 2.5) gate_ok = false;
+        "%-13s %5d %11lld | %11.1f %11.2f %11.2f %11.2f %11.1f %11.1f %8.2f %8.1f | "
+        "%10.0f %10.0f | %7.2fx %7.2fx %7.2fx %7.1fx %7.1fx\n",
+        r.name.c_str(), r.depth, static_cast<long long>(r.trip), r.engine, r.block,
+        r.simd, r.simd8, r.batch4, r.search, r.jit, r.jit_compile_ms, r.bind_cold,
+        r.bind_cached, speedup, simd_speedup, simd8_speedup, jit_speedup, bind_speedup);
+    // The closed forms must clearly beat the exact search every solver
+    // falls back to, on the gated nests and the two quartic nests.
+    if ((r.gate || r.gate_quartic) && speedup < 2.5) gate_ok = false;
     // The JIT floor covers the cubic and quartic nests — the deep
     // recoveries where folding coefficients, guards and branch numbers
     // to literals pays most.  With a toolchain present, a kernel that
@@ -513,14 +468,14 @@ int main(int argc, char** argv) {
     // twice the lanes per solve plus masked fills (no scalar remainder
     // loops) must clear against the same scalar block64 baseline.
     if (r.gate_simd && wide_abi && simd8_speedup < 2.0) simd512_ok = false;
-    if (r.gate_quartic && q_speedup < 2.5) quartic_ok = false;
     // Every nest gates the plan-cache floor: a hit must be >= 10x
     // cheaper than the cold collapse+bind it replaces.
     if (bind_speedup < 10.0) bind_ok = false;
   }
-  bench::rule(230);
+  bench::rule(200);
   std::printf(
-      "eng-spdup = interpreter / engine (full closed-form recovery).  block64 is\n"
+      "eng-spdup = search / engine (full closed-form recovery vs exact binary\n"
+      "search), enforced >= 2.5x on the gated and quartic nests.  block64 is\n"
       "recover_block amortized over 64 consecutive pcs — the per-iteration cost the\n"
       "scalar chunked schemes pay; simd64 is recover_blocks4 (4 lane-parallel chunk\n"
       "starts, lane-strided fills) over the same chunk size, and simd-spdup their\n"
@@ -528,10 +483,7 @@ int main(int argc, char** argv) {
       "vector per solve stage on the AVX-512 leg, emulated elsewhere) over 8 chunks;\n"
       "s512spdup = block64 / simd512, enforced >= 2x when the runtime abi is avx512.\n"
       "batch4 is recover4 per recovered tuple (one formula solve per lane).\n"
-      "qblock64 is block64 through the PR 2 quartic path (bytecode program +\n"
-      "checked-i128 scalar guards); q-spdup = qblock64 / block64, the guarded\n"
-      "Ferrari's enforced >= 2.5x floor on the quartic nests.  bind-cold is ns per\n"
-      "cold CollapsePlan::build (collapse+bind), bind-hit ns per plan_cache().get\n"
+      "bind-cold is ns per cold CollapsePlan::build (collapse+bind), bind-hit ns per plan_cache().get\n"
       "hit on the same key; bindspdup = bind-cold / bind-hit, enforced >= 10x on\n"
       "every nest.  jit[ns] is the runtime-compiled specialized kernel's ns per\n"
       "iteration on one thread (jitc[ms] its one-time out-of-process compile);\n"
@@ -585,17 +537,14 @@ int main(int argc, char** argv) {
                    "\"lane_width\": %d, "
                    "\"gate\": %s, \"gate_simd\": %s, \"gate_quartic\": %s, "
                    "\"gate_jit\": %s, "
-                   "\"schemes\": {\"interpreter\": %.2f, \"engine\": %.2f, "
+                   "\"schemes\": {\"engine\": %.2f, "
                    "\"block64\": %.3f, \"simd64\": %.3f, \"simd512\": %.3f, "
-                   "\"batch4\": %.2f, "
-                   "\"search\": %.2f, \"newton\": %.2f, \"quartic_block64\": %.3f, "
-                   "\"jit\": %.3f}, "
+                   "\"batch4\": %.2f, \"search\": %.2f, \"jit\": %.3f}, "
                    "\"jit_compile_ms\": %.2f, "
                    "\"bind\": {\"cold_ns\": %.1f, \"cached_ns\": %.1f}, "
-                   "\"speedup_engine_vs_interpreter\": %.3f, "
+                   "\"speedup_engine_vs_search\": %.3f, "
                    "\"speedup_simd64_vs_block64\": %.3f, "
                    "\"speedup_simd512_vs_block64\": %.3f, "
-                   "\"speedup_ferrari_vs_bytecode\": %.3f, "
                    "\"speedup_jit_vs_engine\": %.3f, "
                    "\"speedup_bind_cached_vs_cold\": %.2f, "
                    "\"selection\": {\"chosen\": \"%s\", "
@@ -607,11 +556,9 @@ int main(int argc, char** argv) {
                    r.gate ? "true" : "false", r.gate_simd ? "true" : "false",
                    r.gate_quartic ? "true" : "false",
                    (r.gate_simd || r.gate_quartic) && jit_toolchain ? "true" : "false",
-                   r.interp, r.engine, r.block, r.simd, r.simd8, r.batch4, r.search,
-                   r.newton, r.qblock, r.jit, r.jit_compile_ms, r.bind_cold,
-                   r.bind_cached, r.interp / r.engine,
+                   r.engine, r.block, r.simd, r.simd8, r.batch4, r.search, r.jit,
+                   r.jit_compile_ms, r.bind_cold, r.bind_cached, r.search / r.engine,
                    r.block / r.simd, r.block / r.simd8,
-                   r.qblock > 0 ? r.qblock / r.block : 0.0,
                    r.jit > 0 ? r.engine / r.jit : 0.0,
                    r.bind_cached > 0 ? r.bind_cold / r.bind_cached : 0.0,
                    sels[i].chosen.c_str(), sels[i].from_cost_model ? "true" : "false",
@@ -637,7 +584,9 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (!gate_ok) {
-    std::printf("FAIL: compiled engine below the enforced 2.5x floor on a gated nest\n");
+    std::printf(
+        "FAIL: compiled engine below the enforced 2.5x floor over exact search on a "
+        "gated or quartic nest\n");
     rc = 1;
   }
   if (!simd_ok) {
@@ -649,12 +598,6 @@ int main(int argc, char** argv) {
     std::printf(
         "FAIL: simd512 below the enforced 2x floor over block64 on a simd-gated "
         "nest (avx512 runtime abi)\n");
-    rc = 1;
-  }
-  if (!quartic_ok) {
-    std::printf(
-        "FAIL: guarded Ferrari below the enforced 2.5x floor over the PR 2 bytecode "
-        "path on a quartic nest\n");
     rc = 1;
   }
   if (!jit_ok) {

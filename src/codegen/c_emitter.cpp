@@ -176,9 +176,9 @@ void emit_recovery(CodeWriter& w, const NestProgram& prog, const Collapsed& col)
         call += "__nrc_A" + std::to_string(e) + ", ";
       call += std::to_string(lf.branch) + ", &__nrc_est)";
       // Demotion guard: where the real-arithmetic estimate degenerates
-      // (the library would demote the point to its bytecode engine) the
-      // generated code starts the exact correction from the level's
-      // lower bound instead of flooring a non-finite value.
+      // (the library searches the point exactly) the generated code
+      // starts the exact correction from the level's lower bound
+      // instead of flooring a non-finite value.
       w.line(var + " = " + call + " ? __nrc_est : " + lb + ";");
       --w.depth;
       w.line("}");

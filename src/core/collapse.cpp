@@ -55,10 +55,6 @@ const char* level_solver_kind_name(LevelSolverKind k) {
       return "guarded-cubic";
     case LevelSolverKind::Quartic:
       return "guarded-ferrari";
-    case LevelSolverKind::Program:
-      return "bytecode-program";
-    case LevelSolverKind::Interpreted:
-      return "interpreted";
     case LevelSolverKind::Search:
       return "binary-search";
   }
@@ -143,22 +139,17 @@ std::string Collapsed::describe() const {
     }
     const LevelSolverKind kind = planned_solver(lf, k, c);
     s += "    lowered solver: " + std::string(level_solver_kind_name(kind));
-    // Quadratic, cubic, Ferrari and bytecode-program levels evaluate one
-    // lane group of pcs per call in the batched entry points (recover4 /
-    // recover8 / recover_blocks4 / recover_blocks8); Ferrari levels
-    // additionally demote to the bytecode program at points where the
-    // selected branch goes genuinely complex.
-    if (kind == LevelSolverKind::Quadratic || kind == LevelSolverKind::Quartic ||
-        kind == LevelSolverKind::Program)
+    // Quadratic and Ferrari levels evaluate one lane group of pcs per
+    // call in the batched entry points (recover4 / recover8 /
+    // recover_blocks4 / recover_blocks8).
+    if (kind == LevelSolverKind::Quadratic || kind == LevelSolverKind::Quartic)
       s += " [lane-batched x" + std::to_string(simd::kGroupLanes) + "]";
-    if (kind == LevelSolverKind::Quartic) s += " [bytecode demotion]";
     s += "\n";
   }
   s += "runtime simd abi: " + std::string(simd::runtime_abi()) + " (compiled " +
        std::string(simd::abi_name()) + ", " + std::to_string(simd::kGroupLanes) +
        "-lane groups; masked lane-strided block fills, lane-batched "
-       "quadratic, cardano, ferrari and bytecode-program solvers, "
-       "polynomial lane trig)\n";
+       "quadratic, cardano and ferrari solvers, polynomial lane trig)\n";
   s += "guard policy: proven-exact f64 where the bind-time slot-magnitude "
        "proof holds, checked-i128 fallback (all engines)\n";
   return s;
@@ -167,13 +158,10 @@ std::string Collapsed::describe() const {
 namespace {
 
 /// Apply the process-global RuntimeConfig defaults to a freshly bound
-/// (or memo-copied) evaluator.  The per-instance hooks stay available to
+/// (or memo-copied) evaluator.  set_f64_guards() stays available to
 /// diverge individual evaluators afterwards.
 void apply_runtime_config(CollapsedEval& ev) {
-  const RuntimeConfig& cfg = runtime_config();
-  ev.set_f64_guards(cfg.f64_guards);
-  if (cfg.bytecode_quartics) ev.use_bytecode_quartics();
-  if (cfg.force_quartic_demotion) ev.force_quartic_demotion();
+  ev.set_f64_guards(runtime_config().f64_guards);
 }
 
 }  // namespace
@@ -232,24 +220,13 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
     ev.bounds_hi_.push_back(FoldedBound::fold(spec.at(k).upper, spec, params));
   }
 
-  // Engine rank polynomials get the parameters folded in (fewer terms,
-  // no runtime parameter powers) and, when small enough, a flat
-  // multiply-add form that skips the generic power loop entirely; the
-  // seed-baseline interpreter keeps the unfolded originals so
-  // recover_interpreted() measures the seed cost.
+  // Rank polynomials get the parameters folded in (fewer terms, no
+  // runtime parameter powers) and, when small enough, a flat
+  // multiply-add form that skips the generic power loop entirely.
   for (int k = 0; k < c; ++k) {
-    const Polynomial& R = im.rs.prefix_rank[static_cast<size_t>(k)];
-    const Polynomial folded = fold_params(R, params);
+    const Polynomial folded = fold_params(im.rs.prefix_rank[static_cast<size_t>(k)], params);
     ev.prank_.emplace_back(folded, im.slots);
     ev.prank_flat_.push_back(FlatPoly::build(folded, im.slots));
-    ev.prank_interp_.emplace_back(R, im.slots);
-  }
-
-  ev.closed_.resize(static_cast<size_t>(c));
-  for (int k = 0; k < c; ++k) {
-    const LevelFormula& lf = im.levels[static_cast<size_t>(k)];
-    if (lf.branch >= 0)
-      ev.closed_[static_cast<size_t>(k)] = CompiledExpr(lf.root, im.slots);
   }
 
   // Lower every level's recovery into the cheapest exact engine.  The
@@ -262,9 +239,9 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
     CollapsedEval::LevelSolver& sv = ev.solvers_[static_cast<size_t>(k)];
     const LevelFormula& lf = im.levels[static_cast<size_t>(k)];
     sv.kind = planned_solver(lf, k, c);
+    sv.branch = lf.branch;
     if (k == c - 1 || lf.branch < 0) continue;
 
-    sv.branch = lf.branch;
     try {
       i64 den = 1;
       for (const auto& a : lf.coeffs) den = lcm_i64(den, a.denominator_lcm());
@@ -285,15 +262,6 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
       sv.scaled.clear();
       sv.flat = {};
       sv.kind = LevelSolverKind::Search;
-      continue;
-    }
-
-    if (sv.kind == LevelSolverKind::Quartic) {
-      // The Ferrari solver's demotion target for points where the
-      // selected branch goes genuinely complex.  An uncompiled program
-      // (register pressure, folding overflow) is fine: demotion then
-      // falls through to the generic interpreter for those rare points.
-      sv.program = RecoveryProgram(lf.root, im.slots, params);
     }
   }
 
@@ -374,13 +342,6 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
   return ev;
 }
 
-void CollapsedEval::use_bytecode_quartics() {
-  for (LevelSolver& sv : solvers_)
-    if (sv.kind == LevelSolverKind::Quartic)
-      sv.kind = sv.program.compiled() ? LevelSolverKind::Program
-                                      : LevelSolverKind::Interpreted;
-}
-
 i128 CollapsedEval::eval_rank(int k, const i64* pt) const {
   const FlatPoly& f = prank_flat_[static_cast<size_t>(k)];
   if (f.usable()) return f.eval_i128(pt);
@@ -419,25 +380,19 @@ i64 CollapsedEval::search_level(int k, std::span<i64> pt, i64 pc) const {
 
 /// Correct a floating-point index estimate against the exact level
 /// equation.  A(t) = sum A[e] * t^e satisfies A(t) <= 0 iff
-/// rank(prefix, t) <= pc, so the boundary test is an O(degree) Horner
-/// evaluation instead of a full rank-polynomial evaluation; the solver
-/// passes the coefficient values it already evaluated.  False when the
-/// estimate was off by more than kMaxCorrection steps.
-bool CollapsedEval::try_guard_level(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                                    const i128* A, int deg, RecoveryStats* stats,
-                                    i64* out) const {
+/// rank(prefix, t) <= pc, so `above(t)` (A(t) > 0) is an O(degree)
+/// Horner evaluation on the coefficient values the solver already
+/// evaluated.  An estimate off by more than kMaxCorrection steps falls
+/// back to exact binary search.
+template <class Above>
+i64 CollapsedEval::guard_with(int k, std::span<i64> pt, i64 pc, i64 estimate, Above above,
+                              RecoveryStats* stats) const {
   const i64 lb = bounds_lo_[static_cast<size_t>(k)].eval(pt.data());
   const i64 ub = bounds_hi_[static_cast<size_t>(k)].eval(pt.data());
 
   i64 x = estimate;
   if (x < lb) x = lb;
   if (x > ub - 1) x = ub - 1;
-
-  auto above = [&](i64 t) {  // A(t) > 0  <=>  rank(prefix, t) > pc
-    i128 v = A[deg];
-    for (int e = deg - 1; e >= 0; --e) v = checked_add(checked_mul(v, t), A[e]);
-    return v > 0;
-  };
 
   int steps = 0;
   while (x > lb && above(x) && steps < kMaxCorrection) {
@@ -448,104 +403,44 @@ bool CollapsedEval::try_guard_level(int k, std::span<i64> pt, i64 pc, i64 estima
     ++x;
     ++steps;
   }
-  if (steps >= kMaxCorrection) return false;  // formula was badly off
+  if (steps >= kMaxCorrection) {  // formula was badly off
+    const i64 val = search_level(k, pt, pc);
+    if (stats) ++stats->fallback;
+    return val;
+  }
   if (stats) ++(steps > 0 ? stats->corrected : stats->closed_form);
   pt[static_cast<size_t>(k)] = x;
-  *out = x;
-  return true;
-}
-
-/// try_guard_level with the Horner boundary test in plain double — only
-/// reached when bind() proved (LevelSolver::guards_f64) that every
-/// intermediate is an exact integer below 2^53, so the test decides
-/// identically to the i128 version.
-bool CollapsedEval::try_guard_level_f64(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                                        const double* A, int deg,
-                                        RecoveryStats* stats, i64* out) const {
-  const i64 lb = bounds_lo_[static_cast<size_t>(k)].eval(pt.data());
-  const i64 ub = bounds_hi_[static_cast<size_t>(k)].eval(pt.data());
-
-  i64 x = estimate;
-  if (x < lb) x = lb;
-  if (x > ub - 1) x = ub - 1;
-
-  auto above = [&](i64 t) {  // A(t) > 0  <=>  rank(prefix, t) > pc
-    const double td = static_cast<double>(t);
-    double v = A[deg];
-    for (int e = deg - 1; e >= 0; --e) v = v * td + A[e];
-    return v > 0.0;
-  };
-
-  int steps = 0;
-  while (x > lb && above(x) && steps < kMaxCorrection) {
-    --x;
-    ++steps;
-  }
-  while (x < ub - 1 && !above(x + 1) && steps < kMaxCorrection) {
-    ++x;
-    ++steps;
-  }
-  if (steps >= kMaxCorrection) return false;  // formula was badly off
-  if (stats) ++(steps > 0 ? stats->corrected : stats->closed_form);
-  pt[static_cast<size_t>(k)] = x;
-  *out = x;
-  return true;
+  return x;
 }
 
 i64 CollapsedEval::guard_level(int k, std::span<i64> pt, i64 pc, i64 estimate,
                                const i128* A, int deg, RecoveryStats* stats) const {
-  i64 out;
-  if (try_guard_level(k, pt, pc, estimate, A, deg, stats, &out)) return out;
-  const i64 val = search_level(k, pt, pc);
-  if (stats) ++stats->fallback;
-  return val;
+  return guard_with(
+      k, pt, pc, estimate,
+      [&](i64 t) {
+        i128 v = A[deg];
+        for (int e = deg - 1; e >= 0; --e) v = checked_add(checked_mul(v, t), A[e]);
+        return v > 0;
+      },
+      stats);
 }
 
+/// guard_level with the Horner boundary test in plain double — only
+/// reached when bind() proved (LevelSolver::guards_f64) that every
+/// intermediate is an exact integer below 2^53, so the test decides
+/// identically to the i128 version.
 i64 CollapsedEval::guard_level_f64(int k, std::span<i64> pt, i64 pc, i64 estimate,
                                    const double* A, int deg,
                                    RecoveryStats* stats) const {
-  i64 out;
-  if (try_guard_level_f64(k, pt, pc, estimate, A, deg, stats, &out)) return out;
-  const i64 val = search_level(k, pt, pc);
-  if (stats) ++stats->fallback;
-  return val;
-}
-
-/// Demoted-quartic path: the Ferrari estimate could not follow the
-/// selected branch (or failed its guard), so evaluate the branch through
-/// the bytecode program — complex arithmetic where the branch needs it —
-/// or, when that did not compile, the generic interpreter; the exact
-/// guard still decides.  False when no finite estimate exists or the
-/// i128 guard overflowed: the caller falls back to exact search.
-bool CollapsedEval::quartic_demote(int k, std::span<i64> pt, i64 pc, const i128* A,
-                                   const double* Ad, int deg, RecoveryStats* stats,
-                                   i64* out) const {
-  const LevelSolver& sv = solvers_[static_cast<size_t>(k)];
-  const std::span<const i64> pts(pt.data(), nslots_);
-  long double zre;
-  if (sv.program.compiled()) {
-    const RootValue z = sv.program.eval(pts);
-    if (!z.finite()) return false;
-    zre = z.re;
-  } else {
-    const CompiledExpr& ce = closed_[static_cast<size_t>(k)];
-    if (ce.empty()) return false;
-    const cld z = ce.eval(pts);
-    if (!std::isfinite(z.real()) || !std::isfinite(z.imag())) return false;
-    zre = z.real();
-  }
-  if (zre < -9.2e18L || zre > 9.2e18L) return false;
-  const i64 est = static_cast<i64>(std::floor(zre + 1e-9L));
-  if (Ad) {
-    *out = guard_level_f64(k, pt, pc, est, Ad, deg, stats);
-    return true;
-  }
-  try {
-    *out = guard_level(k, pt, pc, est, A, deg, stats);
-    return true;
-  } catch (const OverflowError&) {
-    return false;
-  }
+  return guard_with(
+      k, pt, pc, estimate,
+      [&](i64 t) {
+        const double td = static_cast<double>(t);
+        double v = A[deg];
+        for (int e = deg - 1; e >= 0; --e) v = v * td + A[e];
+        return v > 0.0;
+      },
+      stats);
 }
 
 i64 CollapsedEval::solve_level(int k, std::span<i64> pt, i64 pc,
@@ -617,39 +512,14 @@ i64 CollapsedEval::solve_level(int k, std::span<i64> pt, i64 pc,
         return guard(est);
       }
       case LevelSolverKind::Quartic: {
+        // A degenerate Ferrari point (complex resolvent root the real
+        // arithmetic cannot follow, w == 0) breaks to exact search.
         i64 est;
-        i64 out;
-        const bool ok =
-            !demote_quartics_ &&
-            (f64 ? ferrari_estimate<double>(Ad, sv.branch, &est)
-                 : ferrari_estimate<long double>(A, sv.branch, &est));
-        if (ok) {
-          const bool done = f64
-                                ? try_guard_level_f64(k, pt, pc, est, Ad, deg, stats, &out)
-                                : try_guard_level(k, pt, pc, est, A, deg, stats, &out);
-          if (done) return out;
-        }
-        // Real arithmetic could not follow the branch (complex resolvent
-        // root, w == 0 degeneration) or the estimate was badly off:
-        // demote this point to the bytecode program, guard included.
-        if (quartic_demote(k, pt, pc, f64 ? nullptr : A, f64 ? Ad : nullptr, deg,
-                           stats, &out)) {
-          if (stats) ++stats->quartic_demoted;
-          return out;
-        }
-        break;  // no finite estimate anywhere: search
-      }
-      case LevelSolverKind::Program: {
-        const RootValue z = sv.program.eval(pts);
-        if (!z.finite() || z.re < -9.2e18L || z.re > 9.2e18L) break;
-        return guard(static_cast<i64>(std::floor(z.re + 1e-9L)));
-      }
-      case LevelSolverKind::Interpreted: {
-        const cld z = closed_[static_cast<size_t>(k)].eval(pts);
-        if (!std::isfinite(z.real()) || !std::isfinite(z.imag()) ||
-            z.real() < -9.2e18L || z.real() > 9.2e18L)
-          break;
-        return guard(static_cast<i64>(std::floor(z.real() + 1e-9L)));
+        const bool ok = !fail_ferrari_ &&
+                        (f64 ? ferrari_estimate<double>(Ad, sv.branch, &est)
+                             : ferrari_estimate<long double>(A, sv.branch, &est));
+        if (!ok) break;
+        return guard(est);
       }
       default:
         break;
@@ -663,27 +533,17 @@ i64 CollapsedEval::solve_level(int k, std::span<i64> pt, i64 pc,
   return val;
 }
 
-/// Innermost index is linear with unit slope: i = lb + (pc - R(prefix, lb)).
-/// `flat`, when usable, short-circuits the generic rank evaluation (the
-/// engine paths pass the bound flat form; the seed interpreter passes
-/// nullptr so it keeps measuring the seed cost).  The engine entry
-/// points (scalar and lane-batched alike) set `use_f64`, taking the
-/// proven-exact double stream when bind() established it.
-void CollapsedEval::recover_innermost(std::span<i64> pt, std::span<i64> idx, i64 pc,
-                                      const CompiledPoly& inner_rank,
-                                      const FlatPoly* flat, bool use_f64) const {
+/// Innermost index is linear with unit slope: i = lb + (pc - R(prefix, lb)),
+/// the rank evaluated on the proven-exact double stream when bind()
+/// established it and the guard policy allows it.
+void CollapsedEval::recover_innermost(std::span<i64> pt, std::span<i64> idx, i64 pc) const {
   const int kl = c_ - 1;
   const i64 lb = bounds_lo_[static_cast<size_t>(kl)].eval(pt.data());
   pt[static_cast<size_t>(kl)] = lb;
-  i64 r0;
-  if (flat && use_f64 && flat->exact_f64()) {
-    r0 = static_cast<i64>(flat->eval_f64(pt.data()));
-  } else {
-    r0 = narrow_i64(
-        flat && flat->usable()
-            ? flat->eval_i128(pt.data())
-            : inner_rank.eval_i128(std::span<const i64>(pt.data(), nslots_)));
-  }
+  const FlatPoly& flat = prank_flat_[static_cast<size_t>(kl)];
+  const i64 r0 = f64_guards_ && flat.exact_f64()
+                     ? static_cast<i64>(flat.eval_f64(pt.data()))
+                     : narrow_i64(eval_rank(kl, pt.data()));
   idx[static_cast<size_t>(kl)] = lb + (pc - r0);
 }
 
@@ -694,8 +554,7 @@ void CollapsedEval::recover(i64 pc, std::span<i64> idx, RecoveryStats* stats) co
   std::span<i64> pts(pt.data(), nslots_);
   for (int k = 0; k + 1 < c_; ++k)
     idx[static_cast<size_t>(k)] = solve_level(k, pts, pc, stats);
-  recover_innermost(pts, idx, pc, prank_[static_cast<size_t>(c_) - 1],
-                    &prank_flat_[static_cast<size_t>(c_) - 1], f64_guards_);
+  recover_innermost(pts, idx, pc);
 }
 
 template <int W>
@@ -868,14 +727,10 @@ void CollapsedEval::solve_level_lanes(int k, i64* pts, const i64* pcs,
       // lanes run the vectorized estimate (the resolvent's Cardano trig
       // included, via cardano_branch_lanes); otherwise per-lane double
       // on the exact i128 coefficients.  Lanes the real path cannot
-      // follow (est_ok false) demote to the bytecode program in the
-      // finish loop below.
-      if (demote_quartics_) break;  // test hook: force the demotion path
+      // follow (est_ok false) search in the finish loop below.
+      if (fail_ferrari_) break;  // test hook: every estimate fails
       if (f64) {
-        if constexpr (W == 4)
-          ferrari_estimate4(&Ad[0][0], 5, sv.branch, est, est_ok);
-        else
-          ferrari_estimate8(&Ad[0][0], 5, sv.branch, est, est_ok);
+        ferrari_estimate_lanes<W>(&Ad[0][0], 5, sv.branch, est, est_ok);
       } else {
         for (int l = 0; l < W; ++l) {
           if (!lane_ok[l]) continue;
@@ -884,48 +739,17 @@ void CollapsedEval::solve_level_lanes(int k, i64* pts, const i64* pcs,
       }
       break;
     }
-    case LevelSolverKind::Program: {
-      // The bytecode program evaluates all lanes in one pass.
-      RootValue z[W];
-      if constexpr (W == 4)
-        sv.program.eval4(pts, kMaxSlots, z);
-      else
-        sv.program.eval8(pts, kMaxSlots, z);
-      for (int l = 0; l < W; ++l) {
-        if (!lane_ok[l] || !z[l].finite() || z[l].re < -9.2e18L || z[l].re > 9.2e18L)
-          continue;
-        est[l] = static_cast<i64>(std::floor(z[l].re + 1e-9L));
-        est_ok[l] = true;
-      }
-      break;
-    }
-    case LevelSolverKind::Interpreted: {
-      for (int l = 0; l < W; ++l) {
-        if (!lane_ok[l]) continue;
-        const cld z = closed_[static_cast<size_t>(k)].eval(
-            std::span<const i64>(pts + static_cast<size_t>(l) * kMaxSlots, nslots_));
-        if (!std::isfinite(z.real()) || !std::isfinite(z.imag()) ||
-            z.real() < -9.2e18L || z.real() > 9.2e18L)
-          continue;
-        est[l] = static_cast<i64>(std::floor(z.real() + 1e-9L));
-        est_ok[l] = true;
-      }
-      break;
-    }
     default:
       break;
   }
 
-  const bool quartic = sv.kind == LevelSolverKind::Quartic;
   for (int l = 0; l < W; ++l) {
     if (!lane_ok[l]) {
       solve_level(k, lane_pt(l), pcs[l], stats);
       continue;
     }
-    i64 out;
-    bool guard_overflowed = false;
-    if (est_ok[l] && !quartic) {
-      // Non-quartic kinds: the guard's built-in search fallback decides.
+    if (est_ok[l]) {
+      // The guard's built-in search fallback decides.
       if (f64) {
         guard_level_f64(k, lane_pt(l), pcs[l], est[l], Ad[l], deg, stats);
         continue;
@@ -935,41 +759,11 @@ void CollapsedEval::solve_level_lanes(int k, i64* pts, const i64* pcs,
         continue;
       } catch (const OverflowError&) {
         // Horner guard left the checked range: exact search below.
-        guard_overflowed = true;
-      }
-    } else if (est_ok[l]) {
-      // Quartic: a failed guard demotes to bytecode instead of searching.
-      if (f64) {
-        if (try_guard_level_f64(k, lane_pt(l), pcs[l], est[l], Ad[l], deg, stats,
-                                &out))
-          continue;
-      } else {
-        try {
-          if (try_guard_level(k, lane_pt(l), pcs[l], est[l], A[l], deg, stats, &out))
-            continue;
-        } catch (const OverflowError&) {
-          guard_overflowed = true;
-        }
-      }
-    }
-    if (quartic && !guard_overflowed) {
-      // Ferrari could not follow the branch on this lane (or its
-      // estimate failed the guard): demote the lane to the bytecode
-      // program, exactly like the scalar solver.
-      if (quartic_demote(k, lane_pt(l), pcs[l], f64 ? nullptr : A[l],
-                         f64 ? Ad[l] : nullptr, deg, stats, &out)) {
-        if (stats) ++stats->quartic_demoted;
-        continue;
       }
     }
     search_level(k, lane_pt(l), pcs[l]);
     if (stats) ++stats->fallback;
   }
-}
-
-void CollapsedEval::solve_level4(int k, i64* pts, const i64* pcs,
-                                 RecoveryStats* stats) const {
-  solve_level_lanes<4>(k, pts, pcs, stats);
 }
 
 template <int W>
@@ -1013,8 +807,7 @@ void CollapsedEval::recover_lanes(const i64* pcs, std::span<i64> out,
     std::span<i64> pt(pts[l], nslots_);
     std::span<i64> row = out.subspan(static_cast<size_t>(l) * d, d);
     for (int k = 0; k + 1 < c_; ++k) row[static_cast<size_t>(k)] = pts[l][k];
-    recover_innermost(pt, row, pcs[l], prank_[d - 1], &prank_flat_[d - 1],
-                      f64_guards_);
+    recover_innermost(pt, row, pcs[l]);
   }
 }
 
@@ -1126,79 +919,6 @@ void CollapsedEval::recover_blocks4(const i64 pcs[4], i64 n, std::span<i64> out,
 void CollapsedEval::recover_blocks8(const i64 pcs[8], i64 n, std::span<i64> out,
                                     i64 stride, i64 rows[8], RecoveryStats* stats) const {
   recover_blocks_lanes<8>(pcs, n, out, stride, rows, stats);
-}
-
-void CollapsedEval::recover_interpreted(i64 pc, std::span<i64> idx,
-                                        RecoveryStats* stats) const {
-  std::array<i64, kMaxSlots> pt = base_;
-  pt[pc_slot_] = pc;
-  std::span<i64> pts(pt.data(), nslots_);
-
-  for (int k = 0; k + 1 < c_; ++k) {
-    i64 val;
-    const CompiledExpr& ce = closed_[static_cast<size_t>(k)];
-    if (ce.empty()) {
-      val = search_level(k, pts, pc);
-      if (stats) ++stats->fallback;
-    } else {
-      const cld z = ce.eval(std::span<const i64>(pt.data(), nslots_));
-      if (!std::isfinite(z.real()) || !std::isfinite(z.imag())) {
-        val = search_level(k, pts, pc);
-        if (stats) ++stats->fallback;
-      } else {
-        const i64 lb = bounds_lo_[static_cast<size_t>(k)].eval(pt.data());
-        const i64 ub = bounds_hi_[static_cast<size_t>(k)].eval(pt.data());
-        i64 x = static_cast<i64>(std::floor(z.real() + 1e-9L));
-        if (x < lb) x = lb;
-        if (x > ub - 1) x = ub - 1;
-        // Exact integer correction: R_k(prefix, x) <= pc < R_k(prefix, x+1).
-        // Deliberately the unfolded seed polynomial: this path measures
-        // the seed engine.
-        const CompiledPoly& R = prank_interp_[static_cast<size_t>(k)];
-        auto rank_at = [&](i64 t) {
-          pt[static_cast<size_t>(k)] = t;
-          return R.eval_i128(std::span<const i64>(pt.data(), nslots_));
-        };
-        int steps = 0;
-        while (x > lb && rank_at(x) > pc && steps < kMaxCorrection) {
-          --x;
-          ++steps;
-        }
-        while (x < ub - 1 && rank_at(x + 1) <= pc && steps < kMaxCorrection) {
-          ++x;
-          ++steps;
-        }
-        if (steps >= kMaxCorrection) {
-          val = search_level(k, pts, pc);  // formula was badly off: exact fallback
-          if (stats) ++stats->fallback;
-        } else {
-          val = x;
-          if (stats) ++(steps > 0 ? stats->corrected : stats->closed_form);
-        }
-      }
-    }
-    pt[static_cast<size_t>(k)] = val;
-    idx[static_cast<size_t>(k)] = val;
-  }
-  recover_innermost(pts, idx, pc, prank_interp_[static_cast<size_t>(c_) - 1], nullptr);
-}
-
-bool CollapsedEval::recover_closed_raw(i64 pc, std::span<i64> idx) const {
-  std::array<i64, kMaxSlots> pt = base_;
-  pt[pc_slot_] = pc;
-  for (int k = 0; k + 1 < c_; ++k) {
-    const CompiledExpr& ce = closed_[static_cast<size_t>(k)];
-    if (ce.empty()) return false;
-    const cld z = ce.eval(std::span<const i64>(pt.data(), nslots_));
-    if (!std::isfinite(z.real()) || !std::isfinite(z.imag())) return false;
-    const i64 x = static_cast<i64>(std::floor(z.real() + 1e-9L));
-    pt[static_cast<size_t>(k)] = x;
-    idx[static_cast<size_t>(k)] = x;
-  }
-  std::span<i64> pts(pt.data(), nslots_);
-  recover_innermost(pts, idx, pc, prank_[static_cast<size_t>(c_) - 1],
-                    &prank_flat_[static_cast<size_t>(c_) - 1], f64_guards_);
-  return true;
 }
 
 void CollapsedEval::recover_search(i64 pc, std::span<i64> idx) const {

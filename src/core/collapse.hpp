@@ -22,10 +22,7 @@
 //     evaluated integer coefficients,
 //   * degree-3 levels by the guarded real-arithmetic Cardano/Viete,
 //   * degree-4 levels by the guarded real-arithmetic Ferrari (resolvent
-//     through the same Cardano path); points where the selected branch
-//     goes genuinely complex demote to the RecoveryProgram bytecode —
-//     flat real-valued instructions with the parameters constant-folded
-//     in (complex forms only where a Cardano/Ferrari branch needs them),
+//     through the same Cardano path), exact search where it degenerates,
 //   * levels without a usable formula by exact binary search.
 // Every floating-point estimate is corrected against the exact integer
 // level equation, so recover() never returns a wrong tuple.
@@ -44,8 +41,6 @@
 #include "core/runtime_limits.hpp"
 #include "core/unrank_closed.hpp"
 #include "polyhedral/domain.hpp"
-#include "symbolic/compile.hpp"
-#include "symbolic/recovery_program.hpp"
 
 namespace nrc {
 
@@ -116,20 +111,11 @@ struct RecoveryStats {
   i64 closed_form = 0;  ///< levels recovered by the closed form directly
   i64 corrected = 0;    ///< levels where the integer guard moved the index
   i64 fallback = 0;     ///< levels recovered by exact binary search
-  /// Quartic levels whose real-arithmetic Ferrari estimate degenerated
-  /// (or failed the guard) and that were then *successfully* solved
-  /// through the bytecode demotion path (a demotion that also finds no
-  /// finite estimate falls to search and counts only in fallback).  Not
-  /// a level outcome of its own (the demoted solve still lands in one
-  /// of the three counters above), so it does not participate in
-  /// levels().
-  i64 quartic_demoted = 0;
   i64 levels() const { return closed_form + corrected + fallback; }
   RecoveryStats& operator+=(const RecoveryStats& o) {
     closed_form += o.closed_form;
     corrected += o.corrected;
     fallback += o.fallback;
-    quartic_demoted += o.quartic_demoted;
     return *this;
   }
 };
@@ -141,11 +127,7 @@ enum class LevelSolverKind {
   Quadratic,        ///< degree 2: guarded quadratic formula
   Cubic,            ///< degree 3: guarded real-arithmetic Cardano/Viete
   Quartic,          ///< degree 4: guarded real-arithmetic Ferrari
-                    ///< (bytecode demotion where the branch goes complex)
-  Program,          ///< RecoveryProgram bytecode (ablation hook; the
-                    ///< pre-Ferrari quartic lowering)
-  Interpreted,      ///< bytecode lowering unavailable: generic interpreter
-                    ///< (the one lowering that still heap-allocates)
+                    ///< (exact search where it degenerates)
   Search,           ///< no usable formula: exact binary search
 };
 
@@ -158,8 +140,10 @@ class CollapsedEval {
   int depth() const { return c_; }
   i64 trip_count() const { return total_; }
   const ParamMap& params() const { return params_; }
+  /// True when `level` has a selected closed-form root (the innermost
+  /// level included); false for levels recovered by binary search.
   bool has_closed_form(int level) const {
-    return !closed_[static_cast<size_t>(level)].empty();
+    return solvers_[static_cast<size_t>(level)].branch >= 0;
   }
   /// The engine recover() uses for `level`.
   LevelSolverKind solver_kind(int level) const {
@@ -183,29 +167,20 @@ class CollapsedEval {
     return solvers_[static_cast<size_t>(level)].guards_f64;
   }
 
-  /// Ablation/bench hook: lower quartic levels back onto the generic
-  /// RecoveryProgram bytecode (the pre-Ferrari engine) instead of the
-  /// guarded real-arithmetic Ferrari solver.  Results stay bit-identical
-  /// (both sit behind the exact guard); only the cost changes.  Levels
-  /// whose bytecode failed to compile fall to the generic interpreter.
-  void use_bytecode_quartics();
-
-  /// Test/ablation hook: treat every quartic point as if the Ferrari
-  /// estimate had degenerated, exercising the per-point demotion path —
-  /// bytecode estimate plus exact guard, RecoveryStats::quartic_demoted
-  /// counting each demotion.  Results stay identical.
-  void force_quartic_demotion() { demote_quartics_ = true; }
+  /// Test hook: make every Ferrari estimate report failure, so each
+  /// quartic point takes the exact-search fallback a degenerate Ferrari
+  /// point takes (RecoveryStats::fallback counts it).  Results stay
+  /// identical.
+  void fail_ferrari_estimates() { fail_ferrari_ = true; }
 
   /// Exact 1-based rank of an iteration tuple.
   i64 rank(std::span<const i64> idx) const;
 
   /// Recover the iteration tuple of rank pc (1 <= pc <= trip_count()):
-  /// degree-specialized / bytecode closed forms guarded by exact integer
+  /// degree-specialized closed forms guarded by exact integer
   /// correction, with binary search as fallback.  Never returns a wrong
   /// tuple.  `stats`, when non-null, accumulates which path each level
-  /// took.  Zero heap allocation — except on levels bind() had to demote
-  /// to LevelSolverKind::Interpreted (bytecode register pressure), whose
-  /// generic evaluator allocates; solver_kind() exposes the lowering.
+  /// took.  Zero heap allocation.
   void recover(i64 pc, std::span<i64> idx, RecoveryStats* stats = nullptr) const;
 
   /// Batched recovery: fill `out` (row-major, n rows of depth() values)
@@ -230,15 +205,13 @@ class CollapsedEval {
 
   /// Lane-batched recovery of 4 arbitrary pcs (each in [1, trip_count()]):
   /// the closed-form levels evaluate 4 pcs per SIMD lane — vectorized
-  /// quadratic formula, RecoveryProgram::eval4 bytecode lanes, per-lane
-  /// double-precision cubic — and every lane is corrected by the scalar
-  /// exact integer guard, so the tuples are bit-identical to four
-  /// recover() calls.  This is the §VI-B warp-shaped primitive (one
-  /// independent formula solve per lane, no row walking); the chunked
-  /// SIMD executors use it to amortize 4 chunk-start solves at once.
-  /// `out` receives 4 rows of depth() values (row-major).  Zero heap
-  /// allocation except on LevelSolverKind::Interpreted levels (same
-  /// caveat as recover()).
+  /// quadratic formula, lane-wide Cardano and Ferrari — and every lane
+  /// is corrected by the scalar exact integer guard, so the tuples are
+  /// bit-identical to four recover() calls.  This is the §VI-B
+  /// warp-shaped primitive (one independent formula solve per lane, no
+  /// row walking); the chunked SIMD executors use it to amortize 4
+  /// chunk-start solves at once.  `out` receives 4 rows of depth()
+  /// values (row-major).  Zero heap allocation.
   void recover4(const i64 pcs[4], std::span<i64> out, RecoveryStats* stats = nullptr) const;
 
   /// 8-lane counterpart of recover4: the closed-form levels evaluate 8
@@ -247,7 +220,7 @@ class CollapsedEval {
   /// scalar leg), with the same per-lane exact integer guard — tuples
   /// are bit-identical to eight recover() calls on every ABI.  `out`
   /// receives 8 rows of depth() values (row-major).  Zero heap
-  /// allocation except on Interpreted levels (same caveat as recover()).
+  /// allocation.
   void recover8(const i64 pcs[8], std::span<i64> out, RecoveryStats* stats = nullptr) const;
 
   /// SIMD-batched block recovery: 4 blocks of up to n consecutive pcs
@@ -257,28 +230,18 @@ class CollapsedEval {
   /// (b+1)*depth()) of out — column k of block b is
   /// out[(b*depth() + k) * stride + r] — and rows[b] receives the rows
   /// produced for block b (clipped at trip_count()).  out must hold
-  /// 4*depth()*stride values.  Zero heap allocation (Interpreted-level
-  /// caveat as recover()).
+  /// 4*depth()*stride values.  Zero heap allocation.
   void recover_blocks4(const i64 pcs[4], i64 n, std::span<i64> out, i64 stride,
                        i64 rows[4], RecoveryStats* stats = nullptr) const;
 
   /// 8-block counterpart of recover_blocks4 (block starts solved with
-  /// recover8; out must hold 8*depth()*stride values).
+  /// recover8; out must hold 8*depth()*stride values).  Zero heap
+  /// allocation.
   void recover_blocks8(const i64 pcs[8], i64 n, std::span<i64> out, i64 stride,
                        i64 rows[8], RecoveryStats* stats = nullptr) const;
 
-  /// Seed-era recovery through the generic CompiledExpr interpreter
-  /// (complex arithmetic, heap-allocated value vector).  Kept as the
-  /// ablation / benchmark baseline for the bytecode engine; results are
-  /// identical to recover().
-  void recover_interpreted(i64 pc, std::span<i64> idx, RecoveryStats* stats = nullptr) const;
-
-  /// Closed-form recovery *without* the correction guard (ablation /
-  /// tests).  Returns false if any level lacks a formula or produced a
-  /// non-finite value; idx is then unspecified.
-  bool recover_closed_raw(i64 pc, std::span<i64> idx) const;
-
-  /// Exact binary-search recovery (no floating point).
+  /// Exact binary-search recovery (no floating point).  Zero heap
+  /// allocation.
   void recover_search(i64 pc, std::span<i64> idx) const;
 
   /// Advance to the lexicographic successor; false after the last tuple.
@@ -367,44 +330,31 @@ class CollapsedEval {
                                        ///< low-degree A_e (else unusable)
     bool guards_f64 = false;           ///< coefficients and guard may run in
                                        ///< proven-exact double (all engines)
-    int branch = 0;                    ///< selected convenient branch
-    RecoveryProgram program;           ///< Program levels; Quartic demotion target
+    int branch = -1;                   ///< selected convenient branch (-1: none)
   };
 
   i64 search_level(int k, std::span<i64> pt, i64 pc) const;
   i64 solve_level(int k, std::span<i64> pt, i64 pc, RecoveryStats* stats) const;
-  /// Width-generic lane-batched level solve (W = 4 or 8) behind
-  /// solve_level4 and the recover4/recover8 entry points.
+  /// Width-generic lane-batched level solve (W = 4 or 8) behind the
+  /// recover4/recover8 entry points.
   template <int W>
   void solve_level_lanes(int k, i64* pts, const i64* pcs, RecoveryStats* stats) const;
-  void solve_level4(int k, i64* pts, const i64* pcs, RecoveryStats* stats) const;
   template <int W>
   void recover_lanes(const i64* pcs, std::span<i64> out, RecoveryStats* stats) const;
   template <int W>
   void recover_blocks_lanes(const i64* pcs, i64 n, std::span<i64> out, i64 stride,
                             i64* rows, RecoveryStats* stats) const;
-  /// Correct `estimate` against the exact level equation; false when the
-  /// estimate was off by more than kMaxCorrection (no stats recorded,
-  /// pt[k] unspecified) — the caller demotes or searches.
-  bool try_guard_level(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                       const i128* A, int deg, RecoveryStats* stats, i64* out) const;
-  bool try_guard_level_f64(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                           const double* A, int deg, RecoveryStats* stats,
-                           i64* out) const;
+  /// Correct `estimate` against the exact level equation (exact search
+  /// when it was off by more than kMaxCorrection); `above(t)` is the
+  /// boundary test rank(prefix, t) > pc.
+  template <class Above>
+  i64 guard_with(int k, std::span<i64> pt, i64 pc, i64 estimate, Above above,
+                 RecoveryStats* stats) const;
   i64 guard_level(int k, std::span<i64> pt, i64 pc, i64 estimate,
                   const i128* A, int deg, RecoveryStats* stats) const;
   i64 guard_level_f64(int k, std::span<i64> pt, i64 pc, i64 estimate,
                       const double* A, int deg, RecoveryStats* stats) const;
-  /// Demoted-quartic path: bytecode (or, uncompiled, interpreter)
-  /// estimate plus the exact guard; exactly one of A / Ad is non-null
-  /// and selects the guard arithmetic.  False when no finite estimate
-  /// exists or the exact guard overflowed — the caller searches.
-  bool quartic_demote(int k, std::span<i64> pt, i64 pc, const i128* A,
-                      const double* Ad, int deg, RecoveryStats* stats,
-                      i64* out) const;
-  void recover_innermost(std::span<i64> pt, std::span<i64> idx, i64 pc,
-                         const CompiledPoly& inner_rank, const FlatPoly* flat,
-                         bool use_f64 = false) const;
+  void recover_innermost(std::span<i64> pt, std::span<i64> idx, i64 pc) const;
   /// Exact rank-prefix evaluation through the flat form when available.
   i128 eval_rank(int k, const i64* pt) const;
   /// Row-walk from a recovered tuple, filling lane-strided columns.
@@ -419,11 +369,9 @@ class CollapsedEval {
   std::vector<Bound> bounds_lo_, bounds_hi_;
   std::vector<CompiledPoly> prank_;        // per level, parameters pre-folded
   std::vector<FlatPoly> prank_flat_;       // flat forms of prank_ (else unusable)
-  std::vector<CompiledPoly> prank_interp_; // per level, unfolded (seed baseline)
-  std::vector<CompiledExpr> closed_;   // per level; may be empty (interpreter)
   std::vector<LevelSolver> solvers_;   // per level
   bool f64_guards_ = true;             // see set_f64_guards()
-  bool demote_quartics_ = false;       // see force_quartic_demotion()
+  bool fail_ferrari_ = false;          // see fail_ferrari_estimates()
   static constexpr int kMaxCorrection = 16;
 };
 

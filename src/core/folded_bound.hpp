@@ -4,8 +4,7 @@
 // Binding a nest to parameters turns every bound into a small linear form
 // over the loop-variable slots alone; evaluating it is then a handful of
 // multiply-adds over an inline term array — no name lookups, no maps, no
-// heap.  Shared by CollapsedEval and NewtonUnranker so both runtimes read
-// bounds the same (slot-indexed) way.
+// heap.  CollapsedEval reads every level bound this slot-indexed way.
 
 #include "core/runtime_limits.hpp"
 #include "polyhedral/domain.hpp"

@@ -22,13 +22,13 @@
 //     Re(csqrt(z)) = sqrt((|z| + Re z)/2),
 //     Im(csqrt(z)) = sign(Im z) * sqrt((|z| - Re z)/2),
 //     so a complex resolvent root (the conjugate-pair branches the
-//     calibration routinely selects) costs two hypots instead of a
-//     ~90-instruction bytecode program.
+//     calibration routinely selects) costs two hypots instead of
+//     complex arithmetic.
 //
 // Degenerate configurations (leading coefficient zero, w == 0 divisions,
 // the u -> 0 Cardano degeneration) surface as non-finite values and make
-// the estimate functions return false; the caller demotes those points
-// to the bytecode program, whose guard/search machinery stays exact.
+// the estimate functions return false; the caller then recovers those
+// points by exact binary search.
 //
 // Everything is templated on the evaluation type F (long double for the
 // scalar checked-i128 engine, double for the proven-exact-f64 and
@@ -218,7 +218,7 @@ CardanoBranch<F> ferrari_branch(const TA* A, int branch) {
 /// floor(Re(root) + eps) of ferrari_branch, so the estimate tracks the
 /// branch the calibration selected.  Returns false when the formula
 /// degenerates (A4 == 0, w == 0 divisions, non-finite, out of the index
-/// range); the caller then demotes the point to the bytecode program.
+/// range); the caller then recovers the point by exact search.
 template <class F, class TA>
 bool ferrari_estimate(const TA* A, int branch, i64* est) {
   const F root = ferrari_branch<F, TA>(A, branch).re;
@@ -340,6 +340,88 @@ inline void cubic_estimate_lanes(const double* A, size_t stride, int branch,
   for (int l = 0; l < W; ++l) {
     ok[l] = A[l * stride + 3] != 0.0 && index_range_finite(re[l]);
     if (ok[l]) est[l] = static_cast<i64>(std::floor(re[l] + 1e-9));
+  }
+}
+
+/// Lane-batched ferrari_estimate: W quartics with coefficient rows
+/// A0..A4 at `A + l*stride`, one shared branch.  The depression, the
+/// resolvent-cubic coefficients and the quadratic-factor stage run as
+/// simd_abi vectors; the resolvent's Cardano branch value runs through
+/// cardano_branch_lanes (polynomial trig, or per-lane libm when
+/// simd::set_vector_trig(false)).  ok[l] is false where the real
+/// arithmetic cannot follow the branch (A4 == 0, w == 0 divisions,
+/// non-finite, out of the index range); the caller searches those
+/// lanes.  Double precision suffices behind the exact integer guard.
+template <int W>
+inline void ferrari_estimate_lanes(const double* A, size_t stride, int branch, i64* est,
+                                   bool* ok) {
+  using V = simd::batch<W>;
+  const V zero = simd::splat<W>(0.0);
+  const V half = simd::splat<W>(0.5);
+  auto col = [&](int e) {
+    double tmp[W];
+    for (int l = 0; l < W; ++l)
+      tmp[l] = A[static_cast<size_t>(l) * stride + static_cast<size_t>(e)];
+    return simd::load<W>(tmp);
+  };
+  const V a4 = col(4);
+  const V b = simd::div(col(3), a4);
+  const V c = simd::div(col(2), a4);
+  const V d = simd::div(col(1), a4);
+  const V e = simd::div(col(0), a4);
+
+  // Depressed quartic y^4 + p y^2 + q y + r (x = y - b/4).
+  const V b2 = simd::mul(b, b);
+  const V p = simd::sub(c, simd::mul(simd::splat<W>(3.0 / 8.0), b2));
+  const V q = simd::add(simd::sub(d, simd::mul(half, simd::mul(b, c))),
+                        simd::mul(simd::splat<W>(1.0 / 8.0), simd::mul(b2, b)));
+  const V r = simd::sub(
+      simd::add(simd::sub(e, simd::mul(simd::splat<W>(0.25), simd::mul(b, d))),
+                simd::mul(simd::splat<W>(1.0 / 16.0), simd::mul(b2, c))),
+      simd::mul(simd::splat<W>(3.0 / 256.0), simd::mul(b2, b2)));
+
+  const int rb = branch / 4;  // resolvent Cardano branch, 0..2
+  const int qb = branch % 4;  // quadratic-factor branch, 0..3
+
+  // Resolvent cubic w^3 + 2p w^2 + (p^2 - 4r) w - q^2 = 0 (monic).
+  const CardanoBranchLanes<V> w = cardano_branch_lanes(
+      simd::mul(simd::splat<W>(2.0), p),
+      simd::sub(simd::mul(p, p), simd::mul(simd::splat<W>(4.0), r)),
+      simd::neg(simd::mul(q, q)), rb);
+  const V wr = w.re;
+  const V wi = w.im;
+
+  // Quadratic-factor stage on the explicit (re, im) pair — see
+  // ferrari_branch for the derivation.  alpha = csqrt(w), principal:
+  // the Im sign carries sign(Im w), applied with a mask blend.
+  const V aw = simd::sqrt(simd::add(simd::mul(wr, wr), simd::mul(wi, wi)));
+  const V ar = simd::sqrt(simd::mul(half, simd::add(aw, wr)));
+  const V ai0 = simd::sqrt(simd::mul(half, simd::sub(aw, wr)));
+  const V ai = simd::select(simd::cmp_ge(wi, zero), ai0, simd::neg(ai0));
+  // q / alpha = q * conj(alpha) / |w|  (w == 0 lanes degenerate to NaN).
+  const V qoaw = simd::div(q, aw);
+  const V qar = simd::mul(qoaw, ar);
+  const V qai = simd::neg(simd::mul(qoaw, ai));
+  // D = alpha^2 - 4*{beta,gamma} = w - 2*(p + w +- q/alpha).
+  const V sqar = qb < 2 ? simd::neg(qar) : qar;
+  const V sqai = qb < 2 ? simd::neg(qai) : qai;
+  const V Dr =
+      simd::sub(wr, simd::mul(simd::splat<W>(2.0), simd::add(simd::add(p, wr), sqar)));
+  const V Di = simd::neg(simd::add(wi, simd::mul(simd::splat<W>(2.0), sqai)));
+  const V ad = simd::sqrt(simd::add(simd::mul(Dr, Dr), simd::mul(Di, Di)));
+  const V sr = simd::sqrt(simd::mul(half, simd::add(ad, Dr)));  // Re(csqrt(D))
+  const V sa = qb < 2 ? simd::neg(ar) : ar;
+  const V y = simd::mul(half, (qb & 1) ? simd::sub(sa, sr) : simd::add(sa, sr));
+
+  const V root = simd::sub(y, simd::mul(simd::splat<W>(0.25), b));
+  const V flo = simd::floor(simd::add(root, simd::splat<W>(1e-9)));
+  double rootl[W], flol[W], a4l[W];
+  simd::store(rootl, root);
+  simd::store(flol, flo);
+  simd::store(a4l, a4);
+  for (int l = 0; l < W; ++l) {
+    ok[l] = a4l[l] != 0.0 && index_range_finite(rootl[l]);
+    est[l] = ok[l] ? static_cast<i64>(flol[l]) : 0;
   }
 }
 

@@ -1,14 +1,12 @@
 #pragma once
 // Process-wide runtime configuration.
 //
-// Historically every engine toggle was its own process-global (the lane
-// trig switch lived in simd_abi.hpp) or per-evaluator mutator that
-// callers had to remember to apply after every bind()
-// (use_bytecode_quartics, force_quartic_demotion, set_f64_guards).
-// RuntimeConfig folds them into one struct consulted exactly once per
-// bind(): the evaluator a bind() returns starts from these defaults,
-// and the per-instance hooks on CollapsedEval remain available to
-// diverge a single evaluator afterwards (tests, ablations).
+// The engine toggles live in one struct: the lane trig switch (read by
+// the Cardano/Ferrari lane solvers) and the guard policy bind()
+// installs.  bind() consults it exactly once: the evaluator it returns
+// starts from these defaults, and CollapsedEval::set_f64_guards()
+// remains available to diverge a single evaluator afterwards (tests,
+// ablations).
 //
 // The config is intentionally a plain struct behind a function-local
 // static — not thread-safe to mutate.  Flip it only around
@@ -27,13 +25,6 @@ struct RuntimeConfig {
   /// paths where the slot-magnitude proof holds.  false forces the
   /// checked-__int128 reference arithmetic everywhere.
   bool f64_guards = true;
-  /// Lower quartic levels onto the generic RecoveryProgram bytecode
-  /// (the pre-Ferrari engine) at bind() time — the PR 3 ablation,
-  /// applied as a default instead of per instance.
-  bool bytecode_quartics = false;
-  /// Treat every quartic point as if the Ferrari estimate degenerated,
-  /// exercising the per-point bytecode demotion path.
-  bool force_quartic_demotion = false;
 };
 
 /// The mutable process-global configuration consulted by bind() and the

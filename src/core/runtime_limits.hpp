@@ -1,9 +1,8 @@
 #pragma once
 // Hard limits of the runtime fast path (the symbolic machinery is
 // unbounded).  These bound the fixed stack scratch used by the
-// allocation-free evaluators: CollapsedEval, NewtonUnranker and the
-// RecoveryProgram bytecode all size their working arrays with them so
-// the recover() hot path never touches the heap.
+// allocation-free evaluator: CollapsedEval sizes its working arrays
+// with them so no recover* entry point ever touches the heap.
 
 namespace nrc {
 

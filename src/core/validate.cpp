@@ -1,5 +1,7 @@
 #include "core/validate.hpp"
 
+#include <cmath>
+#include <optional>
 #include <sstream>
 
 namespace nrc {
@@ -15,11 +17,44 @@ std::string tuple_str(std::span<const i64> t) {
 
 }  // namespace
 
+RawClosedForm::RawClosedForm(const Collapsed& col, const ParamMap& params)
+    : slots_(col.slot_order().size(), 0) {
+  for (const LevelFormula& lf : col.levels())
+    roots_.push_back(lf.branch >= 0 ? CompiledExpr(lf.root, col.slot_order())
+                                    : CompiledExpr());
+  for (size_t s = 0; s < slots_.size(); ++s) {
+    const auto it = params.find(col.slot_order()[s]);
+    if (it != params.end()) slots_[s] = it->second;
+  }
+}
+
+bool RawClosedForm::recover(const CollapsedEval& ev, i64 pc, std::span<i64> idx) {
+  const int c = ev.depth();
+  slots_.back() = pc;
+  for (int k = 0; k + 1 < c; ++k) {
+    const CompiledExpr& ce = roots_[static_cast<size_t>(k)];
+    if (ce.empty()) return false;
+    const cld z = ce.eval(slots_);
+    if (!std::isfinite(z.real()) || !std::isfinite(z.imag())) return false;
+    const i64 x = static_cast<i64>(std::floor(z.real() + 1e-9L));
+    slots_[static_cast<size_t>(k)] = x;
+    idx[static_cast<size_t>(k)] = x;
+  }
+  const i64 lb = ev.lower_bound(c - 1, idx);
+  idx[static_cast<size_t>(c - 1)] = lb;
+  idx[static_cast<size_t>(c - 1)] = lb + (pc - ev.rank(idx));
+  return true;
+}
+
 ValidationReport validate_collapsed(const Collapsed& col, const ParamMap& params,
                                     const ValidateOptions& opts) {
   ValidationReport rep;
   const CollapsedEval ev = col.bind(params);
   const int c = ev.depth();
+
+  // Compiled only when asked for: the roots go through CompiledExpr.
+  std::optional<RawClosedForm> raw;
+  if (opts.check_closed_raw) raw.emplace(col, params);
 
   std::vector<i64> odo(static_cast<size_t>(c));
   bool odo_alive = true;
@@ -84,7 +119,7 @@ ValidationReport validate_collapsed(const Collapsed& col, const ParamMap& params
     }
     if (opts.check_closed_raw) {
       guarded("recover_closed_raw", [&] {
-        if (ev.recover_closed_raw(pos, got)) {
+        if (raw->recover(ev, pos, got)) {
           check_tuple("recover_closed_raw", got);
         } else {
           fail("recover_closed_raw unavailable/non-finite at pc=" + std::to_string(pos));

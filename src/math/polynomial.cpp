@@ -121,18 +121,6 @@ Polynomial Polynomial::substitute(const std::string& var, const Polynomial& valu
   return r;
 }
 
-Polynomial Polynomial::derivative(const std::string& var) const {
-  Polynomial r;
-  for (const auto& [m, c] : terms_) {
-    const int e = m.exponent(var);
-    if (e == 0) continue;
-    Monomial dm = m.without(var);
-    if (e > 1) dm = dm * Monomial::var(var, e - 1);
-    r.add_term(dm, c * Rational(e));
-  }
-  return r;
-}
-
 Rational Polynomial::eval(const std::map<std::string, Rational>& vals) const {
   Rational acc(0);
   for (const auto& [m, c] : terms_) {

@@ -68,9 +68,6 @@ class Polynomial {
   /// Substitute `var` := `value` (a polynomial), returning the result.
   Polynomial substitute(const std::string& var, const Polynomial& value) const;
 
-  /// Partial derivative with respect to `var`.
-  Polynomial derivative(const std::string& var) const;
-
   /// Exact evaluation with rational variable values.
   Rational eval(const std::map<std::string, Rational>& vals) const;
 

@@ -23,11 +23,14 @@ namespace {
 constexpr double kTaskNs = 300.0;      // one OpenMP task dispatch/steal
 constexpr double kForkJoinNs = 4000.0; // one parallel region fork+join
 
-const char* profile_names[] = {"division", "quadratic", "cubic",
-                               "quartic", "program", "costly"};
+// Indexed by SolverProfile.  A table naming a retired profile (the
+// bytecode "program" row) is malformed: parse_text refuses it.
+constexpr const char* profile_names[] = {"division", "quadratic", "cubic", "quartic",
+                                         "costly"};
+constexpr size_t kProfiles = sizeof(profile_names) / sizeof(profile_names[0]);
 
 bool profile_from_name(const std::string& s, SolverProfile* out) {
-  for (size_t i = 0; i < 6; ++i) {
+  for (size_t i = 0; i < kProfiles; ++i) {
     if (s == profile_names[i]) {
       *out = static_cast<SolverProfile>(i);
       return true;
@@ -40,7 +43,7 @@ bool profile_from_name(const std::string& s, SolverProfile* out) {
 
 const char* solver_profile_name(SolverProfile p) {
   const size_t i = static_cast<size_t>(p);
-  return i < 6 ? profile_names[i] : "?";
+  return i < kProfiles ? profile_names[i] : "?";
 }
 
 SolverProfile classify_solver_profile(const CollapsedEval& cn) {
@@ -48,9 +51,6 @@ SolverProfile classify_solver_profile(const CollapsedEval& cn) {
   auto rank = [](LevelSolverKind k) {
     switch (k) {
       case LevelSolverKind::Search:
-      case LevelSolverKind::Interpreted:
-        return 5;
-      case LevelSolverKind::Program:
         return 4;
       case LevelSolverKind::Quartic:
         return 3;

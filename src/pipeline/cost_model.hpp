@@ -45,8 +45,7 @@ enum class SolverProfile {
   Quadratic,  ///< worst level: guarded quadratic closed form
   Cubic,      ///< worst level: guarded real Cardano
   Quartic,    ///< worst level: guarded real Ferrari
-  Program,    ///< worst level: bytecode RecoveryProgram
-  Costly,     ///< worst level: Interpreted or Search (no usable formula)
+  Costly,     ///< worst level: Search (no usable formula)
 };
 
 const char* solver_profile_name(SolverProfile p);

@@ -17,8 +17,8 @@
 //   nrc::run(*plan, Schedule::auto_select(plan->eval()), body);
 //
 // Immutability contract: the stored CollapsedEval is exposed const-only
-// and never has its mutable tuning hooks (set_f64_guards, demotion
-// forcing) touched, so every const method is safe to call from any
+// and never has its mutable tuning hooks (set_f64_guards,
+// fail_ferrari_estimates) touched, so every const method is safe to call from any
 // number of threads concurrently — the property the concurrent plan
 // cache relies on to hand one plan to many threads.
 

@@ -245,12 +245,10 @@ Schedule::Choice Schedule::auto_select_with_cost(const CollapsedEval& cn,
   for (int k = 0; k < cn.depth(); ++k) {
     switch (cn.solver_kind(k)) {
       case LevelSolverKind::Search:
-      case LevelSolverKind::Interpreted:
         costly_recovery = true;
         break;
       case LevelSolverKind::Cubic:
       case LevelSolverKind::Quartic:
-      case LevelSolverKind::Program:
         high_degree = true;
         break;
       default:

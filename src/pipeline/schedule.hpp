@@ -138,10 +138,10 @@ struct Schedule {
   /// count and the per-level solver kinds bind() chose applies:
   ///   * tiny domains (or one thread) run serially — no fork/join;
   ///   * domains under ~4 iterations per thread use PerThread;
-  ///   * a Search/Interpreted level makes recovery costly, so the
+  ///   * a Search level makes recovery costly, so the
   ///     schemes with the fewest recoveries win (RowSegments: one per
   ///     thread, vectorizable bodies at zero extra recoveries);
-  ///   * degree >= 3 levels (Cubic/Quartic/Program) pay more per
+  ///   * degree >= 3 levels (Cubic/Quartic) pay more per
   ///     recovery, so chunks amortize it: RowSegmentsChunked with
   ///     default_chunk;
   ///   * cheap recoveries (division/quadratic) take SimdBlocksChunked

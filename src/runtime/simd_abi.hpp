@@ -2,7 +2,7 @@
 // simd_abi — compile-time SIMD target selection for the recovery runtime.
 //
 // The lane-batched solvers (CollapsedEval::recover4/recover8 and
-// friends), the RecoveryProgram lane-wide bytecode evaluator and the
+// friends, the lane Cardano/Ferrari in core/real_solvers.hpp) and the
 // lane-strided block fills all express their vector arithmetic against
 // this tiny shim instead of raw intrinsics, so exactly one place
 // decides the target:
@@ -532,7 +532,7 @@ inline void fill_iota(i64* dst, i64 n, i64 start) {
 // of this header: estimates sit behind the exact integer correction
 // guard, so trig error can only move an estimate by a fraction of an
 // index step, never corrupt a recovered tuple — and the accuracy tests
-// (tests/runtime/simd_abi_test.cpp) plus the zero-new-demotions floor
+// (tests/runtime/simd_abi_test.cpp) plus the zero-new-fallbacks floor
 // on the kernel nests pin that margin.  set_vector_trig(false) routes
 // the lane Cardano back through per-lane libm for equivalence tests.
 

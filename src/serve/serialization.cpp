@@ -55,7 +55,7 @@ LevelSolverKind level_solver_kind_from_name(const std::string& name) {
   for (const LevelSolverKind k :
        {LevelSolverKind::InnermostLinear, LevelSolverKind::ExactDivision,
         LevelSolverKind::Quadratic, LevelSolverKind::Cubic, LevelSolverKind::Quartic,
-        LevelSolverKind::Program, LevelSolverKind::Interpreted, LevelSolverKind::Search})
+        LevelSolverKind::Search})
     if (name == level_solver_kind_name(k)) return k;
   throw ParseError("plan record: unknown solver kind '" + name + "'");
 }

@@ -1,11 +1,15 @@
 #pragma once
 // Flat evaluator for symbolic expressions.
 //
-// The runtime index recovery evaluates a root formula once per chunk of
-// iterations; compiling the Expr DAG into a linear instruction list (with
-// common subexpressions evaluated once) keeps that evaluation cheap and
-// allocation-free.  Arithmetic is complex<long double> throughout
-// (§IV-C: roots can be complex with zero imaginary part).
+// CompiledExpr is the complex reference evaluator of a root formula:
+// the Expr DAG compiles into a linear instruction list that evaluates
+// common subexpressions once, in complex<long double> throughout
+// (§IV-C: roots can be complex with zero imaginary part).  The recovery
+// engine never calls it — it runs the real-arithmetic estimates of
+// core/real_solvers.hpp — so it serves as the oracle those estimates
+// are tested against and as RawClosedForm's unguarded closed-form
+// recovery (core/validate.hpp).  Its value vector is heap-allocated per
+// call.
 
 #include <complex>
 #include <span>

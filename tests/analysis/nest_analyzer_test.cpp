@@ -179,8 +179,8 @@ TEST(NestAnalyzer, I001CostlySolverNote) {
   EXPECT_EQ(d->severity, LintSeverity::Info);
 }
 
-// NRC-I002: quartic levels can demote per point, so no f64-exact
-// certificate exists for them by policy.
+// NRC-I002: quartic levels can fall back to exact search per point, so
+// no f64-exact certificate exists for them by policy.
 TEST(NestAnalyzer, I002QuarticDemotionNote) {
   const NestCertificate cert = analyze_nest(testutil::simplex_4d(), {{"N", 12}});
   EXPECT_TRUE(cert.bind_ok);

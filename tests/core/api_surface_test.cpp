@@ -77,7 +77,12 @@ TEST(CollapsedEval, ParamsAccessorAndClosedFormFlags) {
   EXPECT_EQ(cn.params().at("N"), 9);
   EXPECT_TRUE(cn.has_closed_form(0));
   EXPECT_TRUE(cn.has_closed_form(1));
+  EXPECT_TRUE(cn.has_closed_form(2));
   EXPECT_EQ(cn.depth(), 3);
+  // A degree-5 level has no closed form: binary search recovers it.
+  const CollapsedEval deep = collapse(testutil::simplex_5d()).bind({{"N", 8}});
+  EXPECT_FALSE(deep.has_closed_form(0));
+  EXPECT_TRUE(deep.has_closed_form(1));
 }
 
 TEST(CollapsedEval, RecoverAtBothEndsOfTheRange) {

@@ -119,10 +119,11 @@ TEST(Collapse, UserCalibrationIsRespected) {
 TEST(Collapse, RecoverClosedRawMatchesGuardedOnWellConditionedSizes) {
   const Collapsed col = collapse(testutil::triangular_strict());
   const CollapsedEval cn = col.bind({{"N", 64}});
+  RawClosedForm closed_raw(col, {{"N", 64}});
   std::vector<i64> raw(2), guarded(2);
   for (i64 pc = 1; pc <= cn.trip_count(); ++pc) {
     cn.recover(pc, guarded);
-    ASSERT_TRUE(cn.recover_closed_raw(pc, raw));
+    ASSERT_TRUE(closed_raw.recover(cn, pc, raw));
     EXPECT_EQ(raw, guarded) << "pc=" << pc;
   }
 }

@@ -10,7 +10,6 @@
 //                        byte-identical by the exactness proof,
 //   recover4/recover8  — lane-batched solves at both lane widths,
 //   recover_block(s4/s8)— row-walking and lane-strided batched recovery,
-//   recover_interpreted— the seed-era complex interpreter,
 //
 // plus rank() round trips.  Domains expected empty must be rejected by
 // collapse()/bind().
@@ -82,8 +81,6 @@ void check_domain(const CollapsedEval& cn, const std::string& repro, FuzzTally* 
     cn.recover_search(pc, ref);
     cn.recover(pc, eng, &tally->stats);
     ASSERT_EQ(eng, ref) << repro << "recover disagrees with search at pc=" << pc;
-    cn.recover_interpreted(pc, other);
-    ASSERT_EQ(other, ref) << repro << "recover_interpreted disagrees at pc=" << pc;
     ref_guards.recover(pc, other);
     ASSERT_EQ(other, ref) << repro << "recover with i128 guards disagrees at pc=" << pc;
     ASSERT_EQ(cn.rank(ref), pc) << repro << "rank round trip failed at pc=" << pc;
@@ -238,14 +235,11 @@ void run_case(const FuzzNest& fc, FuzzTally* tally) {
       if (::testing::Test::HasFatalFailure()) return;
       if (cert.exact_f64) {
         // Certified f64-exact: every recovery the sweep performed must
-        // have stayed on the closed-form path — zero search fallbacks,
-        // zero quartic demotions (the acceptance bar: no false "exact"
-        // certificates, ever).
+        // have stayed on the closed-form path — zero search fallbacks
+        // (the acceptance bar: no false "exact" certificates, ever).
         ASSERT_EQ(tally->stats.fallback, before.fallback)
             << repro << "certified f64-exact but a recovery fell back to search:\n"
             << cert.str();
-        ASSERT_EQ(tally->stats.quartic_demoted, before.quartic_demoted)
-            << repro << "certified f64-exact but a quartic demoted:\n" << cert.str();
         ++tally->certified_exact;
       }
       ++tally->domains;
@@ -265,15 +259,14 @@ void run_fuzz(FuzzClass cls, i64 domains_target, u64 seed_base) {
   tally.search_levels = tally.stats.fallback;
   std::printf(
       "[fuzz %-10s] domains=%lld (empty=%lld, quartic=%lld, certified_exact=%lld) "
-      "levels: closed=%lld corrected=%lld search=%lld quartic_demoted=%lld\n",
+      "levels: closed=%lld corrected=%lld search=%lld\n",
       testutil::fuzz_class_name(cls), static_cast<long long>(tally.domains),
       static_cast<long long>(tally.rejected_empty),
       static_cast<long long>(tally.quartic_domains),
       static_cast<long long>(tally.certified_exact),
       static_cast<long long>(tally.stats.closed_form),
       static_cast<long long>(tally.stats.corrected),
-      static_cast<long long>(tally.stats.fallback),
-      static_cast<long long>(tally.stats.quartic_demoted));
+      static_cast<long long>(tally.stats.fallback));
   // The sweep must actually exercise the engine, not degenerate into
   // vacuous domains: every class recovers through closed forms somewhere.
   EXPECT_GT(tally.stats.closed_form, 0);

@@ -2,10 +2,12 @@
 //
 // This suite replaces the global operator new/delete with counting
 // versions (which is why it links into its own test executable) and
-// asserts that recover(), recover_block(), recover_search() and the
-// NewtonUnranker perform no allocation after bind-time setup — the
-// property the §V chunked schemes rely on to keep per-chunk recovery
-// overhead flat.
+// asserts that every recover* entry point of CollapsedEval — recover,
+// recover_block, recover_block_lanes, recover4/recover8,
+// recover_blocks4/recover_blocks8 and recover_search — performs no
+// allocation after bind-time setup, on every solver kind: the property
+// the §V chunked schemes rely on to keep per-chunk recovery overhead
+// flat.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -52,19 +54,17 @@ std::vector<Case> engine_cases() {
                    collapse(testutil::triangular_strict()).bind({{"N", 300}})});
   cases.push_back({"tetrahedral_cubic",
                    collapse(testutil::tetrahedral_fig6()).bind({{"N", 40}})});
-  // The guarded Ferrari, in all four engine configurations: proven-f64
-  // guards (the default), the checked-i128 reference guards, the forced
-  // per-point bytecode demotion path, and the bytecode ablation — every
-  // one must stay allocation-free.
+  // The guarded Ferrari on proven-f64 guards (the default) and on the
+  // checked-i128 reference guards, and the exact-search fallback a
+  // degenerate Ferrari point takes (every estimate forced to fail).
   cases.push_back({"simplex_quartic", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
   cases.push_back({"simplex_quartic_i128", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
   cases.back().cn.set_f64_guards(false);
   cases.push_back(
-      {"simplex_quartic_demoted", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
-  cases.back().cn.force_quartic_demotion();
-  cases.push_back(
-      {"simplex_quartic_bytecode", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
-  cases.back().cn.use_bytecode_quartics();
+      {"simplex_quartic_search", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
+  cases.back().cn.fail_ferrari_estimates();
+  // A degree-5 level: no closed form, exact binary search every time.
+  cases.push_back({"simplex5_search", collapse(testutil::simplex_5d()).bind({{"N", 9}})});
   cases.push_back({"quartic_shifted",
                    collapse(testutil::simplex_4d_shifted()).bind({{"N", 16}})});
   cases.push_back({"rectangular_division",
@@ -120,8 +120,8 @@ TEST(NoAllocation, RecoverBlockLanesHotPath) {
 }
 
 TEST(NoAllocation, LaneBatchedRecoveryHotPath) {
-  // recover4 / recover_blocks4: lane-parallel solves (including the
-  // 4-wide bytecode program on the quartic case) over stack scratch.
+  // recover4 / recover_blocks4: lane-parallel solves (the lane Ferrari
+  // on the quartic cases) over stack scratch.
   for (auto& c : engine_cases()) {
     const size_t d = static_cast<size_t>(c.cn.depth());
     constexpr i64 kBlock = 32;
@@ -186,20 +186,6 @@ TEST(NoAllocation, SearchRecoveryHotPath) {
     const long long after = g_allocations.load();
     EXPECT_EQ(after, before) << c.name << ": recover_search() allocated";
   }
-}
-
-TEST(NoAllocation, NewtonRecoveryHotPath) {
-  const NestSpec nest = testutil::tetrahedral_fig6();
-  const RankingSystem rs = build_ranking_system(nest);
-  const NewtonUnranker nu(rs, {{"N", 40}});
-  i64 idx[kMaxDepth];
-  const size_t d = static_cast<size_t>(nu.depth());
-  nu.recover(1, {idx, d});
-
-  const long long before = g_allocations.load();
-  for (i64 pc = 1; pc <= 500; ++pc) nu.recover(pc, {idx, d});
-  const long long after = g_allocations.load();
-  EXPECT_EQ(after, before) << "NewtonUnranker::recover() allocated";
 }
 
 TEST(NoAllocation, CounterItselfWorks) {

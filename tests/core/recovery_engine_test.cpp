@@ -1,10 +1,10 @@
-// The compiled recovery engine: degree-specialized solvers, bytecode
-// programs and batched block recovery must agree exactly with the
-// all-integer binary-search recovery (and with the seed-era interpreter)
-// over full domains.
+// The compiled recovery engine: degree-specialized solvers and batched
+// block recovery must agree exactly with the all-integer binary-search
+// recovery over full domains.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <type_traits>
 
 #include "../test_util.hpp"
 #include "core/real_solvers.hpp"
@@ -16,13 +16,11 @@ namespace {
 
 void expect_engine_matches_search(const CollapsedEval& cn, const std::string& tag) {
   const size_t d = static_cast<size_t>(cn.depth());
-  std::vector<i64> via_engine(d), via_interp(d), via_search(d);
+  std::vector<i64> via_engine(d), via_search(d);
   for (i64 pc = 1; pc <= cn.trip_count(); ++pc) {
     cn.recover(pc, via_engine);
-    cn.recover_interpreted(pc, via_interp);
     cn.recover_search(pc, via_search);
     ASSERT_EQ(via_engine, via_search) << tag << " pc=" << pc;
-    ASSERT_EQ(via_interp, via_search) << tag << " (interpreter) pc=" << pc;
   }
 }
 
@@ -174,7 +172,8 @@ TEST(RecoveryEngine, Blocks4MatchesScalarBlocks) {
 
 TEST(RecoveryEngine, MatchesSearchOnAllShapes) {
   // The shape menagerie exercises every solver kind: exact-division
-  // (degree 1), guarded-quadratic, bytecode programs (degrees 3 and 4).
+  // (degree 1), guarded-quadratic, guarded Cardano and Ferrari (degrees
+  // 3 and 4).
   for (const auto& sc : testutil::closed_form_shapes()) {
     const ParamMap p = testutil::uniform_params(sc.nest, 7);
     if (!has_no_empty_ranges(sc.nest, p)) continue;
@@ -356,14 +355,13 @@ TEST(RecoveryEngine, DescribeNamesLoweredSolvers) {
   EXPECT_NE(d.find("lowered solver: innermost-linear"), std::string::npos);
   const std::string q = collapse(testutil::simplex_4d()).describe();
   EXPECT_NE(q.find("lowered solver: guarded-ferrari"), std::string::npos) << q;
-  EXPECT_NE(q.find("[bytecode demotion]"), std::string::npos) << q;
   EXPECT_NE(q.find("guard policy: proven-exact f64"), std::string::npos) << q;
   const std::string r = collapse(testutil::rectangular()).describe();
   EXPECT_NE(r.find("lowered solver: exact-division"), std::string::npos) << r;
 }
 
 TEST(RecoveryEngine, DescribeNamesLaneBatchedSolvers) {
-  // Quadratic and bytecode-program levels evaluate one lane group of
+  // Quadratic and Ferrari levels evaluate one lane group of
   // pcs per batched call; describe() reports the group width of the
   // compiled simd abi (8 on the AVX-512 leg, 4 on avx2/scalar) and the
   // ABI leg actually usable at runtime.
@@ -379,11 +377,9 @@ TEST(RecoveryEngine, DescribeNamesLaneBatchedSolvers) {
 
 TEST(RecoveryEngine, AstronomicalParameterOffsetsStillBind) {
   // Folding A ~ 1e6 into quartic level coefficients produces A^4-scale
-  // constants in the RecoveryProgram lowering beyond the exact int64
-  // range; the bytecode demotion target stays uncompiled, but the
-  // guarded Ferrari runs fine on the exactly evaluated i128 coefficients
-  // (the exact-double proof fails at these magnitudes, so the checked
-  // reference guards carry the level).
+  // constants; the guarded Ferrari runs fine on the exactly evaluated
+  // i128 coefficients (the exact-double proof fails at these
+  // magnitudes, so the checked reference guards carry the level).
   NestSpec n;
   n.param("A");
   n.loop("i", aff::v("A"), aff::v("A") + 9)
@@ -394,7 +390,7 @@ TEST(RecoveryEngine, AstronomicalParameterOffsetsStillBind) {
   EXPECT_EQ(cn.solver_kind(0), LevelSolverKind::Quartic);
   EXPECT_FALSE(cn.guards_provably_f64(0));
   expect_engine_matches_search(cn, "astronomical_offsets");
-  // The lane-batched path must take the same demotions (no exact-double
+  // The lane-batched path must take the same fallbacks (no exact-double
   // proof here: slot magnitudes around 1e6 push quartic coefficients
   // past the 2^53 window) and still match search exactly.
   expect_recover4_matches_search(cn, "astronomical_offsets");
@@ -414,7 +410,7 @@ void expect_ferrari_tracks_reference(const double (&A)[5], const std::string& ta
   for (int e = 0; e < 5; ++e) cc[e] = cld(static_cast<long double>(A[e]), 0.0L);
   for (int br = 0; br < 12; ++br) {
     i64 est;
-    if (!ferrari_estimate<long double>(A, br, &est)) continue;  // demotes: fine
+    if (!ferrari_estimate<long double>(A, br, &est)) continue;  // searches: fine
     const cld ref = root_branch_value(std::span<const cld>(cc, 5), br);
     if (!std::isfinite(static_cast<double>(ref.real()))) continue;
     const long double re = ref.real();
@@ -464,10 +460,10 @@ TEST(FerrariEstimate, RandomQuarticsTrackReference) {
   }
 }
 
-/// Complex Cardano with the +i convention for real radicands — exactly
-/// what the RecoveryProgram bytecode computes (its real-valued registers
-/// carry im = +0, so CSqrt of a negative real register always takes the
-/// +i branch).  root_branch_value is *not* a usable oracle for cubic
+/// Complex Cardano with the +i convention for real radicands: the
+/// square root of a negative real radicand always takes the +i branch,
+/// the convention cardano_branch reproduces in real arithmetic.
+/// root_branch_value is *not* a usable oracle for cubic
 /// branches 1/2: its fully-complex evaluation can flip the radicand's
 /// imaginary zero to -0 depending on coefficient signs, conjugating the
 /// cube root and swapping those two branches — Re of a quartic branch is
@@ -489,8 +485,8 @@ cld cardano_plus_i(const double* A, int branch) {
 }
 
 TEST(CubicEstimate, AllBranchesTrackReference) {
-  // The Viete/Cardano estimate must track the bytecode-semantics
-  // reference on all three branches (the seed only ever exercised
+  // The Viete/Cardano estimate must track the +i-convention reference
+  // on all three branches (the seed only ever exercised
   // branch 0; the Ferrari resolvent reaches every branch).
   std::mt19937_64 rng(777);
   for (int iter = 0; iter < 4000; ++iter) {
@@ -511,9 +507,8 @@ TEST(CubicEstimate, AllBranchesTrackReference) {
 }
 
 /// Every quartic-level shape: the Ferrari engine must agree with search
-/// over the full domain without a single search fallback or demotion
-/// (healthy nests never leave the real-arithmetic path), and the
-/// bytecode ablation (use_bytecode_quartics) must stay byte-identical.
+/// over the full domain without a single search fallback (healthy nests
+/// never leave the real-arithmetic path).
 TEST(RecoveryEngine, FerrariSolvesQuarticNestsWithoutDemotion) {
   for (const auto& sc : {testutil::simplex_4d(), testutil::simplex_4d_shifted(),
                          testutil::trapezoid_tower_4d(), testutil::simplex_4d_tower()}) {
@@ -521,63 +516,74 @@ TEST(RecoveryEngine, FerrariSolvesQuarticNestsWithoutDemotion) {
     if (!has_no_empty_ranges(sc, p)) continue;
     const CollapsedEval cn = collapse(sc).bind(p);
     ASSERT_EQ(cn.solver_kind(0), LevelSolverKind::Quartic);
-    CollapsedEval bytecode = cn;
-    bytecode.use_bytecode_quartics();
-    ASSERT_NE(bytecode.solver_kind(0), LevelSolverKind::Quartic);
 
     RecoveryStats stats;
     const size_t d = static_cast<size_t>(cn.depth());
-    std::vector<i64> eng(d), via_bc(d), ref(d);
+    std::vector<i64> eng(d), ref(d);
     for (i64 pc = 1; pc <= cn.trip_count(); ++pc) {
       cn.recover_search(pc, ref);
       cn.recover(pc, eng, &stats);
       ASSERT_EQ(eng, ref) << "ferrari pc=" << pc;
-      bytecode.recover(pc, via_bc);
-      ASSERT_EQ(via_bc, ref) << "bytecode ablation pc=" << pc;
     }
     EXPECT_EQ(stats.fallback, 0);
-    EXPECT_EQ(stats.quartic_demoted, 0);
     EXPECT_GT(stats.closed_form, 0);
   }
 }
 
-/// Demotion to bytecode on guard failure: force_quartic_demotion makes
-/// every quartic point take the demoted path (bytecode estimate + exact
-/// guard, quartic_demoted counting), and the results must still match
-/// search exactly — scalar and lane-batched engines alike.
-TEST(RecoveryEngine, QuarticGuardFailureDemotesToBytecode) {
+/// A failed Ferrari estimate falls back to exact search:
+/// fail_ferrari_estimates() makes every quartic point take that path
+/// (RecoveryStats::fallback counting each one), and the results must
+/// still match search exactly — scalar and both lane widths alike, on
+/// the proven-f64 and the checked-i128 guards.
+TEST(RecoveryEngine, QuarticEstimateFailureFallsBackToSearch) {
   for (const auto& nest : {testutil::simplex_4d(), testutil::trapezoid_tower_4d()}) {
-    const CollapsedEval cn = collapse(nest).bind({{"N", 11}});
-    CollapsedEval demoted = cn;
-    demoted.force_quartic_demotion();
-    ASSERT_EQ(demoted.solver_kind(0), LevelSolverKind::Quartic);
+    for (const bool f64 : {true, false}) {
+      const CollapsedEval cn = collapse(nest).bind({{"N", 11}});
+      CollapsedEval failing = cn;
+      failing.fail_ferrari_estimates();
+      failing.set_f64_guards(f64);
+      ASSERT_EQ(failing.solver_kind(0), LevelSolverKind::Quartic);
+      const std::string tag = f64 ? "f64" : "i128";
 
-    RecoveryStats stats;
-    const size_t d = static_cast<size_t>(cn.depth());
-    std::vector<i64> idx(d), ref(d), out4(4 * d);
-    for (i64 pc = 1; pc <= cn.trip_count(); ++pc) {
-      cn.recover_search(pc, ref);
-      demoted.recover(pc, idx, &stats);
-      ASSERT_EQ(idx, ref) << "demoted recover pc=" << pc;
-    }
-    EXPECT_EQ(stats.quartic_demoted, cn.trip_count());
-    EXPECT_EQ(stats.fallback, 0);  // the bytecode estimate still lands
-
-    RecoveryStats lane_stats;
-    for (i64 lo = 1; lo <= cn.trip_count(); lo += 4) {
-      const i64 base = std::min<i64>(lo, std::max<i64>(1, cn.trip_count() - 3));
-      const i64 pcs[4] = {base, std::min(base + 1, cn.trip_count()),
-                          std::min(base + 2, cn.trip_count()),
-                          std::min(base + 3, cn.trip_count())};
-      demoted.recover4(pcs, out4, &lane_stats);
-      for (int l = 0; l < 4; ++l) {
-        cn.recover_search(pcs[l], ref);
-        for (size_t q = 0; q < d; ++q)
-          ASSERT_EQ(out4[static_cast<size_t>(l) * d + q], ref[q])
-              << "demoted recover4 pc=" << pcs[l];
+      RecoveryStats stats;
+      const i64 total = cn.trip_count();
+      const size_t d = static_cast<size_t>(cn.depth());
+      std::vector<i64> idx(d), ref(d);
+      for (i64 pc = 1; pc <= total; ++pc) {
+        cn.recover_search(pc, ref);
+        failing.recover(pc, idx, &stats);
+        ASSERT_EQ(idx, ref) << tag << " recover pc=" << pc;
       }
+      EXPECT_EQ(stats.fallback, total) << tag;
+
+      // Lane legs: clamped windows of W consecutive pcs.
+      auto lanes = [&](auto width, auto&& recover_w) {
+        constexpr int W = decltype(width)::value;
+        std::vector<i64> out(W * d);
+        RecoveryStats lane_stats;
+        for (i64 lo = 1; lo <= total; lo += W) {
+          const i64 base = std::min<i64>(lo, std::max<i64>(1, total - (W - 1)));
+          i64 pcs[W];
+          for (int l = 0; l < W; ++l) pcs[l] = std::min<i64>(base + l, total);
+          recover_w(pcs, out, &lane_stats);
+          for (int l = 0; l < W; ++l) {
+            cn.recover_search(pcs[l], ref);
+            for (size_t q = 0; q < d; ++q)
+              ASSERT_EQ(out[static_cast<size_t>(l) * d + q], ref[q])
+                  << tag << " recover" << W << " pc=" << pcs[l];
+          }
+        }
+        EXPECT_GT(lane_stats.fallback, 0) << tag << " recover" << W;
+      };
+      lanes(std::integral_constant<int, 4>{},
+            [&](const i64* pcs, std::span<i64> out, RecoveryStats* st) {
+              failing.recover4(pcs, out, st);
+            });
+      lanes(std::integral_constant<int, 8>{},
+            [&](const i64* pcs, std::span<i64> out, RecoveryStats* st) {
+              failing.recover8(pcs, out, st);
+            });
     }
-    EXPECT_GT(lane_stats.quartic_demoted, 0);
   }
 }
 

@@ -2,11 +2,11 @@
 // recover_blocks8) against the all-integer binary-search recovery: full
 // domains on every kernel nest, the closed-form shape menagerie, the
 // depth-kMaxDepth tower and the astronomical-offsets quartic nest whose
-// demotions the lane path must reproduce.  Masked-tail edge cases pin
-// trip counts congruent to 1..7 mod 8 and single-point domains, and the
-// demotion-parity test pins the vectorized Cardano/Ferrari trig to zero
-// additional quartic/cubic demotions against the per-lane libm
-// reference path (set_vector_trig(false)).
+// checked-i128 solves the lane path must reproduce.  Masked-tail edge
+// cases pin trip counts congruent to 1..7 mod 8 and single-point
+// domains, and the stats-parity test pins the vectorized Cardano/Ferrari
+// trig to zero additional corrections or search fallbacks against the
+// per-lane libm reference path (set_vector_trig(false)).
 #include <gtest/gtest.h>
 
 #include "../test_util.hpp"
@@ -101,7 +101,7 @@ TEST(RecoveryLanes8, MaxDepthNest) {
 
 TEST(RecoveryLanes8, AstronomicalParameterOffsetsStillBind) {
   // Quartic coefficients past the exact-double window: the 8-lane path
-  // must take the same i128-guarded demotions as the scalar engine and
+  // must take the same i128-guarded paths as the scalar engine and
   // still match search exactly (see the 4-lane twin in
   // recovery_engine_test.cpp for the magnitude analysis).
   NestSpec n;
@@ -158,9 +158,9 @@ TEST(RecoveryLanes8, VectorTrigAddsNoDemotions) {
   // The acceptance bar for the polynomial vcos/vatan2 kernels: across
   // the full domain of every kernel nest, recovery stats with the
   // vectorized trig must equal the per-lane libm reference path's —
-  // same closed-form/corrected/fallback split, zero extra quartic
-  // demotions (a looser trig estimate would surface as `corrected` or
-  // `quartic_demoted` drift long before a wrong tuple could).
+  // same closed-form/corrected/fallback split (a looser trig estimate
+  // would surface as `corrected` or `fallback` drift long before a wrong
+  // tuple could).
   ASSERT_TRUE(simd::vector_trig_enabled());
   for (const auto& name : kernel_names()) {
     auto kernel = make_kernel(name);
@@ -187,7 +187,6 @@ TEST(RecoveryLanes8, VectorTrigAddsNoDemotions) {
     EXPECT_EQ(vec.closed_form, libm.closed_form) << name;
     EXPECT_EQ(vec.corrected, libm.corrected) << name;
     EXPECT_EQ(vec.fallback, libm.fallback) << name;
-    EXPECT_EQ(vec.quartic_demoted, libm.quartic_demoted) << name;
   }
 }
 

@@ -88,6 +88,10 @@ TEST(CostModel, ParseRejectsMalformedInput) {
   EXPECT_THROW(CostModel::parse_text("nrc-cost-table v1\nentry profile=nope depth=2\n"),
                ParseError);
   EXPECT_THROW(CostModel::parse_text("nrc-cost-table v1\nwhat is this\n"), ParseError);
+  // The retired bytecode profile row is refused, not misindexed.
+  EXPECT_THROW(CostModel::parse_text("nrc-cost-table v1\nentry profile=program depth=4 "
+                                     "lanes=4 engine=1 block=1 simd4=1 simd8=1\n"),
+               ParseError);
   // Comments and blank lines are fine.
   EXPECT_NO_THROW(CostModel::parse_text("# c\n\nnrc-cost-table v1\nabi scalar\n"));
 }

@@ -1,4 +1,4 @@
-// nrc::RuntimeConfig: the folded process-global toggles, the scoped
+// nrc::RuntimeConfig: the process-global engine toggles, the scoped
 // override guard, the legacy simd:: forwarders, and the contract that
 // Collapsed::bind() applies the CURRENT config even when the bind is
 // served from the memo.
@@ -16,8 +16,6 @@ TEST(RuntimeConfig, DefaultsMatchTheHistoricalToggles) {
   const RuntimeConfig def;
   EXPECT_TRUE(def.vector_trig);
   EXPECT_TRUE(def.f64_guards);
-  EXPECT_FALSE(def.bytecode_quartics);
-  EXPECT_FALSE(def.force_quartic_demotion);
 }
 
 TEST(RuntimeConfig, ScopedOverrideRestoresOnExit) {
@@ -25,11 +23,11 @@ TEST(RuntimeConfig, ScopedOverrideRestoresOnExit) {
   {
     ScopedRuntimeConfig scope;
     runtime_config().f64_guards = false;
-    runtime_config().bytecode_quartics = true;
+    runtime_config().vector_trig = false;
     EXPECT_FALSE(runtime_config().f64_guards);
   }
   EXPECT_EQ(runtime_config().f64_guards, before.f64_guards);
-  EXPECT_EQ(runtime_config().bytecode_quartics, before.bytecode_quartics);
+  EXPECT_EQ(runtime_config().vector_trig, before.vector_trig);
 }
 
 TEST(RuntimeConfig, LegacySimdForwardersShareTheConfigField) {
@@ -55,28 +53,26 @@ TEST(RuntimeConfig, BindAppliesTheConfigToTheReturnedEval) {
 
 TEST(RuntimeConfig, MemoizedRebindHonorsTheCurrentConfig) {
   // The memo stores the PRISTINE eval; the config is applied to the
-  // returned copy — so flipping bytecode_quartics between two binds of
-  // the same parameters changes the lowering even on a memo hit.
+  // returned copy — so flipping f64_guards between two binds of the
+  // same parameters changes the guard policy even on a memo hit.
   const Collapsed col = collapse(testutil::simplex_4d());
   const CollapsedEval plain = col.bind({{"N", 12}});
-  EXPECT_EQ(plain.solver_kind(0), LevelSolverKind::Quartic);
+  EXPECT_TRUE(plain.f64_guards());
 
   ScopedRuntimeConfig scope;
-  runtime_config().bytecode_quartics = true;
+  runtime_config().f64_guards = false;
   const size_t reuses_before = col.bind_reuses();
-  const CollapsedEval demoted = col.bind({{"N", 12}});
+  const CollapsedEval checked = col.bind({{"N", 12}});
   EXPECT_GT(col.bind_reuses(), reuses_before);  // served from the memo
-  EXPECT_TRUE(demoted.solver_kind(0) == LevelSolverKind::Program ||
-              demoted.solver_kind(0) == LevelSolverKind::Interpreted)
-      << level_solver_kind_name(demoted.solver_kind(0));
+  EXPECT_FALSE(checked.f64_guards());
 
-  // And both lowerings recover the same tuples.
-  ASSERT_EQ(plain.trip_count(), demoted.trip_count());
+  // And both guard policies recover the same tuples.
+  ASSERT_EQ(plain.trip_count(), checked.trip_count());
   i64 a[8], b[8];
   const size_t d = static_cast<size_t>(plain.depth());
   for (i64 pc = 1; pc <= plain.trip_count(); pc += 7) {
     plain.recover(pc, {a, d});
-    demoted.recover(pc, {b, d});
+    checked.recover(pc, {b, d});
     for (size_t k = 0; k < d; ++k) ASSERT_EQ(a[k], b[k]) << "pc=" << pc;
   }
 }

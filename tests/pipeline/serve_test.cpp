@@ -239,6 +239,13 @@ TEST(ServeSerialization, CorruptRecordsAreRejected) {
   tampered.replace(pos, std::string("innermost-linear").size(), "binary-search");
   EXPECT_THROW(CollapsePlan::deserialize(tampered), SpecError);
 
+  // Retired solver kinds are unknown names, refused at parse time.
+  for (const char* retired : {"bytecode-program", "interpreted"}) {
+    std::string stale = record;
+    stale.replace(pos, std::string("innermost-linear").size(), retired);
+    EXPECT_THROW(CollapsePlan::deserialize(stale), ParseError) << retired;
+  }
+
   EXPECT_THROW(CollapsePlan::deserialize(std::string("garbage here\n")), ParseError);
   EXPECT_THROW(CollapsePlan::deserialize(std::string()), ParseError);
   // A record cut off mid-nest is malformed, not silently accepted.

@@ -314,7 +314,7 @@ inline FuzzNest make_fuzz_nest(FuzzClass cls, u64 seed) {
   // (a literal 3e6 constant would overflow the *symbolic* ranking
   // machinery at depth 4 — shift^4 > int64 — whereas parameter folding
   // at bind() time demotes gracefully, exercising the i128 guards and
-  // the Search/Interpreted fallbacks the way astronomical parameters
+  // the Search fallbacks the way astronomical parameters
   // do in production).
   const i64 magroll = cls == FuzzClass::Degenerate ? pick(0, 2) : pick(0, 9);
   const i64 shift = magroll >= 2 ? 0
